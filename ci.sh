@@ -16,6 +16,15 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== benchmark build + tests (blocking) =="
+# perfbench is a Cargo package of its own that calls the rhb-* crates by
+# path, so the workspace build above never compiles it. Building and
+# testing it here catches a crate API change the benchmark relies on;
+# --locked fails on any dependency change that would rewrite
+# perfbench/Cargo.lock.
+CARGO_TARGET_DIR=.bench_build cargo test --release --locked --offline \
+  --manifest-path perfbench/Cargo.toml -q
+
 echo "== thread pool unit tests (blocking) =="
 # The pool underpins every parallel path; its invariants (serial
 # fallback, panic propagation, deterministic chunking) are a hard gate.

@@ -292,13 +292,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the run of plain characters up to the next
+                    // quote or escape. Both are ASCII, so the run ends on
+                    // a character boundary of the `&str` input, and only
+                    // the run itself is validated: the parse stays linear
+                    // in the input (multi-MB traces).
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    s.push_str(run);
                 }
             }
         }
@@ -362,6 +367,18 @@ mod tests {
         write_escaped(nasty, &mut out);
         let back = parse(&out).unwrap();
         assert_eq!(back.as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn multibyte_runs_between_escapes_survive() {
+        let text = "µs→ms\t§VII \"ok\" ✔";
+        let mut out = String::new();
+        write_escaped(text, &mut out);
+        assert_eq!(parse(&out).unwrap().as_str(), Some(text));
+        let v = parse(r#"["▶ a/b", "üü"]"#).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some("▶ a/b"));
+        assert_eq!(items[1].as_str(), Some("üü"));
     }
 
     #[test]

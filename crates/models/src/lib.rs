@@ -20,7 +20,7 @@ pub mod vgg;
 pub mod zoo;
 
 pub use data::{Dataset, SynthCifar, SynthImageNet};
-pub use resnet::{ResNet, ResNetConfig};
+pub use resnet::ResNetConfig;
 pub use train::{TrainConfig, Trainer};
-pub use vgg::{Vgg, VggConfig};
+pub use vgg::VggConfig;
 pub use zoo::{pretrained, Architecture, PretrainedModel};

@@ -10,13 +10,11 @@
 use rhb_nn::activation::Relu;
 use rhb_nn::conv::{Conv2d, ConvGeometry};
 use rhb_nn::init::Rng;
-use rhb_nn::layer::{Layer, Mode};
+use rhb_nn::layer::{Layer, Residual, Sequential};
 use rhb_nn::linear::Linear;
-use rhb_nn::network::Network;
+use rhb_nn::network::SequentialNet;
 use rhb_nn::norm::BatchNorm2d;
-use rhb_nn::param::Parameter;
 use rhb_nn::pool::GlobalAvgPool;
-use rhb_nn::tensor::Tensor;
 
 /// Configuration for a ResNet victim.
 #[derive(Debug, Clone, Copy)]
@@ -85,287 +83,99 @@ impl ResNetConfig {
     }
 }
 
-/// One basic residual block: two 3×3 conv/bn pairs with identity or
-/// projection skip.
-struct BasicBlock {
-    conv1: Conv2d,
-    bn1: BatchNorm2d,
-    relu1: Relu,
-    conv2: Conv2d,
-    bn2: BatchNorm2d,
-    relu2: Relu,
-    downsample: Option<(Conv2d, BatchNorm2d)>,
-    cached_skip_needed: bool,
-}
-
-impl BasicBlock {
-    fn new(in_ch: usize, out_ch: usize, stride: usize, rng: &mut Rng) -> Self {
-        let conv1 = Conv2d::new(
-            ConvGeometry {
-                in_channels: in_ch,
-                out_channels: out_ch,
-                kernel: 3,
-                stride,
-                padding: 1,
-            },
-            false,
-            rng,
-        );
-        let conv2 = Conv2d::new(
-            ConvGeometry {
-                in_channels: out_ch,
-                out_channels: out_ch,
-                kernel: 3,
-                stride: 1,
-                padding: 1,
-            },
-            false,
-            rng,
-        );
-        let downsample = (stride != 1 || in_ch != out_ch).then(|| {
-            (
-                Conv2d::new(
-                    ConvGeometry {
-                        in_channels: in_ch,
-                        out_channels: out_ch,
-                        kernel: 1,
-                        stride,
-                        padding: 0,
-                    },
-                    false,
-                    rng,
-                ),
-                BatchNorm2d::new(out_ch),
-            )
-        });
-        BasicBlock {
-            conv1,
-            bn1: BatchNorm2d::new(out_ch),
-            relu1: Relu::new(),
-            conv2,
-            bn2: BatchNorm2d::new(out_ch),
-            relu2: Relu::new(),
-            downsample,
-            cached_skip_needed: false,
-        }
+impl ResNetConfig {
+    /// Number of weight layers (the "20" in ResNet-20): the stem, two
+    /// convs per block, and the classifier.
+    pub fn depth(&self) -> usize {
+        2 + 2 * self.blocks_per_stage.iter().sum::<usize>()
     }
 
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        // `forward_instrumented` feeds the per-layer `nn/eval/*` timing
-        // histograms, which ResNet must populate itself: its residual
-        // graph bypasses `Sequential`.
-        let main = self.conv1.forward_instrumented(x, mode);
-        let main = self.bn1.forward_instrumented(&main, mode);
-        let main = self.relu1.forward_instrumented(&main, mode);
-        let main = self.conv2.forward_instrumented(&main, mode);
-        let mut main = self.bn2.forward_instrumented(&main, mode);
-        let skip = match &mut self.downsample {
-            Some((conv, bn)) => {
-                let s = conv.forward_instrumented(x, mode);
-                bn.forward_instrumented(&s, mode)
-            }
-            None => x.clone(),
-        };
-        main.axpy(1.0, &skip);
-        self.cached_skip_needed = mode.caches();
-        self.relu2.forward_instrumented(&main, mode)
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        assert!(
-            self.cached_skip_needed,
-            "backward called without training-mode forward"
-        );
-        self.cached_skip_needed = false;
-        let g_sum = self.relu2.backward(grad);
-        // Main path.
-        let g = self.bn2.backward(&g_sum);
-        let g = self.conv2.backward(&g);
-        let g = self.relu1.backward(&g);
-        let g = self.bn1.backward(&g);
-        let mut g_input = self.conv1.backward(&g);
-        // Skip path.
-        match &mut self.downsample {
-            Some((conv, bn)) => {
-                let gs = bn.backward(&g_sum);
-                let gs = conv.backward(&gs);
-                g_input.axpy(1.0, &gs);
-            }
-            None => g_input.axpy(1.0, &g_sum),
-        }
-        g_input
-    }
-
-    fn params(&self) -> Vec<&Parameter> {
-        let mut v = Vec::new();
-        v.extend(self.conv1.params());
-        v.extend(self.bn1.params());
-        v.extend(self.conv2.params());
-        v.extend(self.bn2.params());
-        if let Some((conv, bn)) = &self.downsample {
-            v.extend(conv.params());
-            v.extend(bn.params());
-        }
-        v
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        let mut v = Vec::new();
-        v.extend(self.conv1.params_mut());
-        v.extend(self.bn1.params_mut());
-        v.extend(self.conv2.params_mut());
-        v.extend(self.bn2.params_mut());
-        if let Some((conv, bn)) = &mut self.downsample {
-            v.extend(conv.params_mut());
-            v.extend(bn.params_mut());
-        }
-        v
-    }
-}
-
-/// A ResNet-style classifier implementing [`Network`].
-pub struct ResNet {
-    config: ResNetConfig,
-    stem_conv: Conv2d,
-    stem_bn: BatchNorm2d,
-    stem_relu: Relu,
-    blocks: Vec<BasicBlock>,
-    pool: GlobalAvgPool,
-    fc: Linear,
-}
-
-impl std::fmt::Debug for ResNet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ResNet({:?})", self.config)
-    }
-}
-
-impl ResNet {
-    /// Builds a randomly initialized ResNet.
-    pub fn new(config: ResNetConfig, rng: &mut Rng) -> Self {
-        let stem_conv = Conv2d::new(
-            ConvGeometry {
-                in_channels: config.in_channels,
-                out_channels: config.base_width,
-                kernel: 3,
-                stride: 1,
-                padding: 1,
-            },
-            false,
-            rng,
-        );
-        let mut blocks = Vec::new();
-        let mut in_ch = config.base_width;
-        for (stage, &n) in config.blocks_per_stage.iter().enumerate() {
-            let out_ch = config.base_width << stage;
+    /// Builds a randomly initialized ResNet as one [`Sequential`]: the
+    /// conv/bn/relu stem, then a [`Residual`] block and a ReLU per block,
+    /// then global average pooling and the classifier.
+    ///
+    /// Weights draw from `rng` in a fixed order (stem conv; per block
+    /// conv1, conv2, projection conv; classifier), and parameters are
+    /// listed in graph order — the weight-file layout, and so the page
+    /// groups of Algorithm 1.
+    pub fn build(&self, rng: &mut Rng) -> SequentialNet {
+        let mut graph = Sequential::new();
+        graph.push(Box::new(conv(self.in_channels, self.base_width, 3, 1, rng)));
+        graph.push(Box::new(BatchNorm2d::new(self.base_width)));
+        graph.push(Box::new(Relu::new()));
+        let mut in_ch = self.base_width;
+        for (stage, &n) in self.blocks_per_stage.iter().enumerate() {
+            let out_ch = self.base_width << stage;
             for b in 0..n {
                 let stride = if stage > 0 && b == 0 { 2 } else { 1 };
-                blocks.push(BasicBlock::new(in_ch, out_ch, stride, rng));
+                graph.push(Box::new(basic_block(in_ch, out_ch, stride, rng)));
+                graph.push(Box::new(Relu::new()));
                 in_ch = out_ch;
             }
         }
-        let fc = Linear::new(in_ch, config.num_classes, true, rng);
-        ResNet {
-            config,
-            stem_conv,
-            stem_bn: BatchNorm2d::new(config.base_width),
-            stem_relu: Relu::new(),
-            blocks,
-            pool: GlobalAvgPool::new(),
-            fc,
-        }
-    }
-
-    /// The architecture configuration.
-    pub fn config(&self) -> ResNetConfig {
-        self.config
-    }
-
-    /// Number of weight layers (the "20" in ResNet-20).
-    pub fn depth(&self) -> usize {
-        // stem + 2 convs per block + fc
-        2 + 2 * self.blocks.len()
+        graph.push(Box::new(GlobalAvgPool::new()));
+        graph.push(Box::new(Linear::new(in_ch, self.num_classes, true, rng)));
+        let params: usize = graph.params().iter().map(|p| p.numel()).sum();
+        let description = format!(
+            "ResNet(depth={}, width={}, classes={}, params={params})",
+            self.depth(),
+            self.base_width,
+            self.num_classes,
+        );
+        SequentialNet::new(graph, description)
     }
 }
 
-impl Network for ResNet {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let x = self.stem_conv.forward_instrumented(input, mode);
-        let x = self.stem_bn.forward_instrumented(&x, mode);
-        let mut x = self.stem_relu.forward_instrumented(&x, mode);
-        for block in &mut self.blocks {
-            x = block.forward(&x, mode);
-        }
-        let x = self.pool.forward_instrumented(&x, mode);
-        self.fc.forward_instrumented(&x, mode)
-    }
+/// A bias-free square convolution; 3×3 kernels pad by 1, 1×1 by 0.
+fn conv(in_ch: usize, out_ch: usize, kernel: usize, stride: usize, rng: &mut Rng) -> Conv2d {
+    let geom = ConvGeometry {
+        in_channels: in_ch,
+        out_channels: out_ch,
+        kernel,
+        stride,
+        padding: kernel / 2,
+    };
+    Conv2d::new(geom, false, rng)
+}
 
-    fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-        let g = self.fc.backward(grad_logits);
-        let mut g = self.pool.backward(&g);
-        for block in self.blocks.iter_mut().rev() {
-            g = block.backward(&g);
-        }
-        let g = self.stem_relu.backward(&g);
-        let g = self.stem_bn.backward(&g);
-        self.stem_conv.backward(&g)
-    }
-
-    fn params(&self) -> Vec<&Parameter> {
-        let mut v = Vec::new();
-        v.extend(self.stem_conv.params());
-        v.extend(self.stem_bn.params());
-        for b in &self.blocks {
-            v.extend(b.params());
-        }
-        v.extend(self.fc.params());
-        v
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        let mut v = Vec::new();
-        v.extend(self.stem_conv.params_mut());
-        v.extend(self.stem_bn.params_mut());
-        for b in &mut self.blocks {
-            v.extend(b.params_mut());
-        }
-        v.extend(self.fc.params_mut());
-        v
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "ResNet(depth={}, width={}, classes={}, params={})",
-            self.depth(),
-            self.config.base_width,
-            self.config.num_classes,
-            self.num_params()
-        )
-    }
+/// One basic residual block: two 3×3 conv/bn pairs with a ReLU between
+/// them, and a 1×1 conv/bn projection on the skip when the block changes
+/// shape (identity skip otherwise).
+fn basic_block(in_ch: usize, out_ch: usize, stride: usize, rng: &mut Rng) -> Residual {
+    let mut main = Sequential::new();
+    main.push(Box::new(conv(in_ch, out_ch, 3, stride, rng)));
+    main.push(Box::new(BatchNorm2d::new(out_ch)));
+    main.push(Box::new(Relu::new()));
+    main.push(Box::new(conv(out_ch, out_ch, 3, 1, rng)));
+    main.push(Box::new(BatchNorm2d::new(out_ch)));
+    let projection = (stride != 1 || in_ch != out_ch).then(|| {
+        let mut skip = Sequential::new();
+        skip.push(Box::new(conv(in_ch, out_ch, 1, stride, rng)));
+        skip.push(Box::new(BatchNorm2d::new(out_ch)));
+        skip
+    });
+    Residual::new(main, projection)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rhb_nn::layer::Mode;
     use rhb_nn::loss::cross_entropy;
+    use rhb_nn::network::Network;
+    use rhb_nn::tensor::Tensor;
 
-    fn tiny() -> ResNet {
+    fn tiny() -> SequentialNet {
         let mut rng = Rng::seed_from(1);
-        ResNet::new(ResNetConfig::resnet20(4, 10), &mut rng)
+        ResNetConfig::resnet20(4, 10).build(&mut rng)
     }
 
     #[test]
     fn depth_matches_naming() {
-        assert_eq!(tiny().depth(), 20);
-        let mut rng = Rng::seed_from(1);
-        assert_eq!(
-            ResNet::new(ResNetConfig::resnet32(4, 10), &mut rng).depth(),
-            32
-        );
-        assert_eq!(
-            ResNet::new(ResNetConfig::resnet18(4, 10), &mut rng).depth(),
-            18
-        );
+        assert_eq!(ResNetConfig::resnet20(4, 10).depth(), 20);
+        assert_eq!(ResNetConfig::resnet32(4, 10).depth(), 32);
+        assert_eq!(ResNetConfig::resnet18(4, 10).depth(), 18);
+        assert!(tiny().describe().starts_with("ResNet(depth=20, width=4"));
     }
 
     #[test]
@@ -437,11 +247,17 @@ mod tests {
         }
     }
 
+    /// Both inference engines record a sample for every leaf op. Exact
+    /// per-forward counts, and the VGG-11 twin, are in
+    /// `tests/layer_telemetry.rs`: the registry is process-wide, so
+    /// tests running beside this one may add samples.
     #[test]
     fn eval_forward_records_per_layer_timings() {
         rhb_telemetry::install(std::sync::Arc::new(rhb_telemetry::NoopSink));
         let mut net = tiny();
+        net.deploy().unwrap();
         net.forward(&Tensor::zeros(&[1, 3, 16, 16]), Mode::Eval);
+        net.forward(&Tensor::zeros(&[1, 3, 16, 16]), Mode::Int8);
         let report = rhb_telemetry::report();
         let names: Vec<&str> = report
             .histograms
@@ -449,14 +265,20 @@ mod tests {
             .map(|h| h.name.as_str())
             .filter(|n| n.starts_with("nn/eval/"))
             .collect();
-        for expected in [
-            "nn/eval/conv2d_f32_s",
-            "nn/eval/batch_norm2d_f32_s",
-            "nn/eval/relu_f32_s",
-            "nn/eval/global_avg_pool_f32_s",
-            "nn/eval/linear_f32_s",
-        ] {
-            assert!(names.contains(&expected), "{expected} missing in {names:?}");
+        for engine in ["f32", "i8"] {
+            for op in [
+                "conv2d",
+                "batch_norm2d",
+                "relu",
+                "global_avg_pool",
+                "linear",
+            ] {
+                let expected = format!("nn/eval/{op}_{engine}_s");
+                assert!(
+                    names.contains(&expected.as_str()),
+                    "{expected} missing in {names:?}"
+                );
+            }
         }
         rhb_telemetry::shutdown();
         rhb_telemetry::reset();
@@ -465,8 +287,8 @@ mod tests {
     #[test]
     fn wider_network_has_more_params() {
         let mut rng = Rng::seed_from(1);
-        let narrow = ResNet::new(ResNetConfig::resnet20(4, 10), &mut rng).num_params();
-        let wide = ResNet::new(ResNetConfig::resnet20(8, 10), &mut rng).num_params();
+        let narrow = ResNetConfig::resnet20(4, 10).build(&mut rng).num_params();
+        let wide = ResNetConfig::resnet20(8, 10).build(&mut rng).num_params();
         assert!(wide > 3 * narrow);
     }
 }

@@ -145,7 +145,7 @@ pub fn evaluate_mode(net: &mut dyn Network, data: &Dataset, batch_size: usize, m
 mod tests {
     use super::*;
     use crate::data::SynthCifar;
-    use crate::resnet::{ResNet, ResNetConfig};
+    use crate::resnet::ResNetConfig;
 
     #[test]
     fn training_improves_over_chance() {
@@ -157,7 +157,7 @@ mod tests {
         let mut data = gen.generate(160, 42);
         let test = data.split_off(40);
         let mut rng = Rng::seed_from(0);
-        let mut net = ResNet::new(ResNetConfig::resnet20(4, 10), &mut rng);
+        let mut net = ResNetConfig::resnet20(4, 10).build(&mut rng);
         let mut trainer = Trainer::new(
             TrainConfig {
                 epochs: 4,
@@ -186,7 +186,7 @@ mod tests {
         };
         let data = gen.generate(13, 3);
         let mut rng = Rng::seed_from(1);
-        let mut net = ResNet::new(ResNetConfig::resnet20(4, 10), &mut rng);
+        let mut net = ResNetConfig::resnet20(4, 10).build(&mut rng);
         let acc = evaluate(&mut net, &data, 5);
         assert!((0.0..=1.0).contains(&acc));
     }

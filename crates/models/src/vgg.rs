@@ -7,13 +7,11 @@
 use rhb_nn::activation::Relu;
 use rhb_nn::conv::{Conv2d, ConvGeometry};
 use rhb_nn::init::Rng;
-use rhb_nn::layer::{Layer, Mode, Sequential};
+use rhb_nn::layer::{Layer, Sequential};
 use rhb_nn::linear::Linear;
-use rhb_nn::network::Network;
+use rhb_nn::network::SequentialNet;
 use rhb_nn::norm::BatchNorm2d;
-use rhb_nn::param::Parameter;
 use rhb_nn::pool::{GlobalAvgPool, MaxPool2d};
-use rhb_nn::tensor::Tensor;
 
 /// Configuration for a VGG victim.
 #[derive(Debug, Clone)]
@@ -49,40 +47,25 @@ impl VggConfig {
     pub fn conv_layers(&self) -> usize {
         self.plan.iter().filter(|&&w| w != 0).count()
     }
-}
 
-/// A VGG-style classifier implementing [`Network`].
-pub struct Vgg {
-    config: VggConfig,
-    features: Sequential,
-    pool: GlobalAvgPool,
-    fc: Linear,
-}
-
-impl std::fmt::Debug for Vgg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Vgg({:?})", self.config)
-    }
-}
-
-impl Vgg {
-    /// Builds a randomly initialized VGG.
+    /// Builds a randomly initialized VGG as one [`Sequential`]:
+    /// conv/bn/relu stages with max-pools between them, then global
+    /// average pooling and the classifier.
     ///
     /// # Panics
     ///
     /// Panics if the plan contains no convolution layers.
-    pub fn new(config: VggConfig, rng: &mut Rng) -> Self {
-        assert!(config.conv_layers() > 0, "plan needs at least one conv");
-        let mut features = Sequential::new();
+    pub fn build(&self, rng: &mut Rng) -> SequentialNet {
+        assert!(self.conv_layers() > 0, "plan needs at least one conv");
+        let mut graph = Sequential::new();
         let mut in_ch = 3;
-        let mut last_width = config.base_width;
-        for &w in &config.plan {
+        for &w in &self.plan {
             if w == 0 {
-                features.push(Box::new(MaxPool2d::new(2)));
+                graph.push(Box::new(MaxPool2d::new(2)));
                 continue;
             }
-            let out_ch = w * config.base_width;
-            features.push(Box::new(Conv2d::new(
+            let out_ch = w * self.base_width;
+            graph.push(Box::new(Conv2d::new(
                 ConvGeometry {
                     in_channels: in_ch,
                     out_channels: out_ch,
@@ -93,66 +76,30 @@ impl Vgg {
                 false,
                 rng,
             )));
-            features.push(Box::new(BatchNorm2d::new(out_ch)));
-            features.push(Box::new(Relu::new()));
+            graph.push(Box::new(BatchNorm2d::new(out_ch)));
+            graph.push(Box::new(Relu::new()));
             in_ch = out_ch;
-            last_width = out_ch;
         }
-        let fc = Linear::new(last_width, config.num_classes, true, rng);
-        Vgg {
-            config,
-            features,
-            pool: GlobalAvgPool::new(),
-            fc,
-        }
-    }
-
-    /// The architecture configuration.
-    pub fn config(&self) -> &VggConfig {
-        &self.config
-    }
-}
-
-impl Network for Vgg {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let x = self.features.forward_mode(input, mode);
-        let x = self.pool.forward_instrumented(&x, mode);
-        self.fc.forward_instrumented(&x, mode)
-    }
-
-    fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-        let g = self.fc.backward(grad_logits);
-        let g = self.pool.backward(&g);
-        self.features.backward(&g)
-    }
-
-    fn params(&self) -> Vec<&Parameter> {
-        let mut v = self.features.params();
-        v.extend(self.fc.params());
-        v
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        let mut v = self.features.params_mut();
-        v.extend(self.fc.params_mut());
-        v
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "VGG({} convs, width={}, classes={}, params={})",
-            self.config.conv_layers(),
-            self.config.base_width,
-            self.config.num_classes,
-            self.num_params()
-        )
+        graph.push(Box::new(GlobalAvgPool::new()));
+        graph.push(Box::new(Linear::new(in_ch, self.num_classes, true, rng)));
+        let params: usize = graph.params().iter().map(|p| p.numel()).sum();
+        let description = format!(
+            "VGG({} convs, width={}, classes={}, params={params})",
+            self.conv_layers(),
+            self.base_width,
+            self.num_classes,
+        );
+        SequentialNet::new(graph, description)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rhb_nn::layer::Mode;
     use rhb_nn::loss::cross_entropy;
+    use rhb_nn::network::Network;
+    use rhb_nn::tensor::Tensor;
 
     #[test]
     fn vgg11_has_8_convs_and_vgg16_has_13() {
@@ -163,7 +110,7 @@ mod tests {
     #[test]
     fn forward_shape_is_batch_by_classes() {
         let mut rng = Rng::seed_from(2);
-        let mut net = Vgg::new(VggConfig::vgg11(4, 10), &mut rng);
+        let mut net = VggConfig::vgg11(4, 10).build(&mut rng);
         let y = net.forward(&Tensor::zeros(&[2, 3, 16, 16]), Mode::Eval);
         assert_eq!(y.shape().dims(), &[2, 10]);
     }
@@ -171,7 +118,7 @@ mod tests {
     #[test]
     fn backward_flows_to_input() {
         let mut rng = Rng::seed_from(3);
-        let mut net = Vgg::new(VggConfig::vgg11(4, 10), &mut rng);
+        let mut net = VggConfig::vgg11(4, 10).build(&mut rng);
         // Varied pixels and batch > 1: batch-norm provably zeroes the input
         // gradient of a constant image, and the deepest VGG stages run at
         // 1x1 spatial resolution where single-sample statistics degenerate.
@@ -189,15 +136,15 @@ mod tests {
     #[test]
     fn vgg16_has_more_params_than_vgg11() {
         let mut rng = Rng::seed_from(4);
-        let a = Vgg::new(VggConfig::vgg11(4, 10), &mut rng).num_params();
-        let b = Vgg::new(VggConfig::vgg16(4, 10), &mut rng).num_params();
+        let a = VggConfig::vgg11(4, 10).build(&mut rng).num_params();
+        let b = VggConfig::vgg16(4, 10).build(&mut rng).num_params();
         assert!(b > a);
     }
 
     #[test]
     fn deploys_cleanly() {
         let mut rng = Rng::seed_from(5);
-        let mut net = Vgg::new(VggConfig::vgg11(4, 10), &mut rng);
+        let mut net = VggConfig::vgg11(4, 10).build(&mut rng);
         net.deploy().unwrap();
         assert!(net.is_deployed());
     }

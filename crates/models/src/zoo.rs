@@ -9,9 +9,9 @@
 //! experiments actually need from a checkpoint.
 
 use crate::data::{Dataset, SynthCifar, SynthImageNet};
-use crate::resnet::{ResNet, ResNetConfig};
+use crate::resnet::ResNetConfig;
 use crate::train::{evaluate, evaluate_mode, TrainConfig, Trainer};
-use crate::vgg::{Vgg, VggConfig};
+use crate::vgg::VggConfig;
 use rhb_nn::init::Rng;
 use rhb_nn::network::{Engine, Network};
 use rhb_nn::optim::{SgdConfig, StepLr};
@@ -183,25 +183,16 @@ pub fn build(arch: Architecture, cfg: &ZooConfig, rng: &mut Rng) -> Box<dyn Netw
     } else {
         10
     };
-    match arch {
-        Architecture::ResNet20 => {
-            Box::new(ResNet::new(ResNetConfig::resnet20(cfg.width, classes), rng))
-        }
-        Architecture::ResNet32 => {
-            Box::new(ResNet::new(ResNetConfig::resnet32(cfg.width, classes), rng))
-        }
-        Architecture::ResNet18 => {
-            Box::new(ResNet::new(ResNetConfig::resnet18(cfg.width, classes), rng))
-        }
-        Architecture::ResNet34 => {
-            Box::new(ResNet::new(ResNetConfig::resnet34(cfg.width, classes), rng))
-        }
-        Architecture::ResNet50 => {
-            Box::new(ResNet::new(ResNetConfig::resnet50(cfg.width, classes), rng))
-        }
-        Architecture::Vgg11 => Box::new(Vgg::new(VggConfig::vgg11(cfg.width, classes), rng)),
-        Architecture::Vgg16 => Box::new(Vgg::new(VggConfig::vgg16(cfg.width, classes), rng)),
-    }
+    let w = cfg.width;
+    Box::new(match arch {
+        Architecture::ResNet20 => ResNetConfig::resnet20(w, classes).build(rng),
+        Architecture::ResNet32 => ResNetConfig::resnet32(w, classes).build(rng),
+        Architecture::ResNet18 => ResNetConfig::resnet18(w, classes).build(rng),
+        Architecture::ResNet34 => ResNetConfig::resnet34(w, classes).build(rng),
+        Architecture::ResNet50 => ResNetConfig::resnet50(w, classes).build(rng),
+        Architecture::Vgg11 => VggConfig::vgg11(w, classes).build(rng),
+        Architecture::Vgg16 => VggConfig::vgg16(w, classes).build(rng),
+    })
 }
 
 /// Generates the data splits an architecture trains on.
@@ -273,6 +264,9 @@ pub fn pretrained(arch: Architecture, cfg: &ZooConfig, seed: u64) -> PretrainedM
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rhb_nn::layer::Mode;
+    use rhb_nn::loss::cross_entropy;
+    use rhb_nn::tensor::Tensor;
     use rhb_nn::weightfile::WeightFile;
 
     #[test]
@@ -358,6 +352,146 @@ mod tests {
         for arch in Architecture::ALL {
             let net = build(arch, &cfg, &mut rng);
             assert!(net.num_params() > 0, "{} has no params", arch.name());
+        }
+    }
+
+    /// The parameter order is the weight-file layout: it decides which
+    /// weights share a 4 KB page, and so Algorithm 1's page groups.
+    /// Pinned name by name and shape by shape, including ResNet-20's two
+    /// projection blocks (main path first, then the 1×1 projection).
+    #[test]
+    fn weight_file_layout_is_pinned() {
+        const RESNET20: [(&str, &[usize]); 65] = [
+            ("conv3x4k3.weight", &[4, 3, 3, 3]),
+            ("bn4.gamma", &[4]),
+            ("bn4.beta", &[4]),
+            ("conv4x4k3.weight", &[4, 4, 3, 3]),
+            ("bn4.gamma", &[4]),
+            ("bn4.beta", &[4]),
+            ("conv4x4k3.weight", &[4, 4, 3, 3]),
+            ("bn4.gamma", &[4]),
+            ("bn4.beta", &[4]),
+            ("conv4x4k3.weight", &[4, 4, 3, 3]),
+            ("bn4.gamma", &[4]),
+            ("bn4.beta", &[4]),
+            ("conv4x4k3.weight", &[4, 4, 3, 3]),
+            ("bn4.gamma", &[4]),
+            ("bn4.beta", &[4]),
+            ("conv4x4k3.weight", &[4, 4, 3, 3]),
+            ("bn4.gamma", &[4]),
+            ("bn4.beta", &[4]),
+            ("conv4x4k3.weight", &[4, 4, 3, 3]),
+            ("bn4.gamma", &[4]),
+            ("bn4.beta", &[4]),
+            ("conv4x8k3.weight", &[8, 4, 3, 3]),
+            ("bn8.gamma", &[8]),
+            ("bn8.beta", &[8]),
+            ("conv8x8k3.weight", &[8, 8, 3, 3]),
+            ("bn8.gamma", &[8]),
+            ("bn8.beta", &[8]),
+            ("conv4x8k1.weight", &[8, 4, 1, 1]),
+            ("bn8.gamma", &[8]),
+            ("bn8.beta", &[8]),
+            ("conv8x8k3.weight", &[8, 8, 3, 3]),
+            ("bn8.gamma", &[8]),
+            ("bn8.beta", &[8]),
+            ("conv8x8k3.weight", &[8, 8, 3, 3]),
+            ("bn8.gamma", &[8]),
+            ("bn8.beta", &[8]),
+            ("conv8x8k3.weight", &[8, 8, 3, 3]),
+            ("bn8.gamma", &[8]),
+            ("bn8.beta", &[8]),
+            ("conv8x8k3.weight", &[8, 8, 3, 3]),
+            ("bn8.gamma", &[8]),
+            ("bn8.beta", &[8]),
+            ("conv8x16k3.weight", &[16, 8, 3, 3]),
+            ("bn16.gamma", &[16]),
+            ("bn16.beta", &[16]),
+            ("conv16x16k3.weight", &[16, 16, 3, 3]),
+            ("bn16.gamma", &[16]),
+            ("bn16.beta", &[16]),
+            ("conv8x16k1.weight", &[16, 8, 1, 1]),
+            ("bn16.gamma", &[16]),
+            ("bn16.beta", &[16]),
+            ("conv16x16k3.weight", &[16, 16, 3, 3]),
+            ("bn16.gamma", &[16]),
+            ("bn16.beta", &[16]),
+            ("conv16x16k3.weight", &[16, 16, 3, 3]),
+            ("bn16.gamma", &[16]),
+            ("bn16.beta", &[16]),
+            ("conv16x16k3.weight", &[16, 16, 3, 3]),
+            ("bn16.gamma", &[16]),
+            ("bn16.beta", &[16]),
+            ("conv16x16k3.weight", &[16, 16, 3, 3]),
+            ("bn16.gamma", &[16]),
+            ("bn16.beta", &[16]),
+            ("linear16x10.weight", &[10, 16]),
+            ("linear16x10.bias", &[10]),
+        ];
+        const VGG11: [(&str, &[usize]); 26] = [
+            ("conv3x4k3.weight", &[4, 3, 3, 3]),
+            ("bn4.gamma", &[4]),
+            ("bn4.beta", &[4]),
+            ("conv4x8k3.weight", &[8, 4, 3, 3]),
+            ("bn8.gamma", &[8]),
+            ("bn8.beta", &[8]),
+            ("conv8x16k3.weight", &[16, 8, 3, 3]),
+            ("bn16.gamma", &[16]),
+            ("bn16.beta", &[16]),
+            ("conv16x16k3.weight", &[16, 16, 3, 3]),
+            ("bn16.gamma", &[16]),
+            ("bn16.beta", &[16]),
+            ("conv16x32k3.weight", &[32, 16, 3, 3]),
+            ("bn32.gamma", &[32]),
+            ("bn32.beta", &[32]),
+            ("conv32x32k3.weight", &[32, 32, 3, 3]),
+            ("bn32.gamma", &[32]),
+            ("bn32.beta", &[32]),
+            ("conv32x32k3.weight", &[32, 32, 3, 3]),
+            ("bn32.gamma", &[32]),
+            ("bn32.beta", &[32]),
+            ("conv32x32k3.weight", &[32, 32, 3, 3]),
+            ("bn32.gamma", &[32]),
+            ("bn32.beta", &[32]),
+            ("linear32x10.weight", &[10, 32]),
+            ("linear32x10.bias", &[10]),
+        ];
+        let cfg = ZooConfig::tiny();
+        for (arch, expected) in [
+            (Architecture::ResNet20, &RESNET20[..]),
+            (Architecture::Vgg11, &VGG11[..]),
+        ] {
+            let net = build(arch, &cfg, &mut Rng::seed_from(0));
+            let layout: Vec<(&str, &[usize])> = net
+                .params()
+                .iter()
+                .map(|p| (p.name.as_str(), p.value.shape().dims()))
+                .collect();
+            assert_eq!(layout, expected, "{} layout", arch.name());
+        }
+    }
+
+    /// An `Eval` forward between a `Frozen` forward and its backward
+    /// (e.g. an accuracy probe mid-gradient) must leave the gradient
+    /// bit-identical to an uninterrupted forward/backward.
+    #[test]
+    fn eval_forward_between_frozen_forward_and_backward_keeps_the_gradient() {
+        let cfg = ZooConfig::tiny();
+        let mut x = Tensor::zeros(&[4, 3, cfg.side, cfg.side]);
+        for (i, v) in x.data_mut().iter_mut().enumerate() {
+            *v = (i as f32 * 0.37).sin();
+        }
+        let probe = Tensor::full(&[2, 3, cfg.side, cfg.side], 0.25);
+        for arch in [Architecture::ResNet20, Architecture::Vgg11] {
+            let mut net = build(arch, &cfg, &mut Rng::seed_from(3));
+            let y = net.forward(&x, Mode::Frozen);
+            let grad = cross_entropy(&y, &[0, 1, 2, 3]).grad_logits;
+            let reference = net.backward(&grad);
+            net.forward(&x, Mode::Frozen);
+            net.forward(&probe, Mode::Eval);
+            let gin = net.backward(&grad);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&gin), bits(&reference), "{}", arch.name());
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Non-linear activations.
 
-use crate::layer::{Int8Epilogue, Layer, Mode};
+use crate::layer::{Layer, Mode};
 use crate::param::Parameter;
 use crate::tensor::Tensor;
 
@@ -54,12 +54,6 @@ impl Layer for Relu {
 
     fn op_name(&self) -> &'static str {
         "relu"
-    }
-
-    fn int8_epilogue(&self) -> Option<Int8Epilogue> {
-        // `max(·, 0)` applied during the preceding GEMM layer's
-        // requantize sweep is bit-identical to a separate relu pass.
-        Some(Int8Epilogue::Relu)
     }
 }
 

@@ -17,7 +17,7 @@ use crate::error::{NnError, Result};
 use crate::gemm;
 use crate::gemm_i8;
 use crate::init::{kaiming_normal, Rng};
-use crate::layer::{Int8Epilogue, Layer, Mode};
+use crate::layer::{Layer, Mode};
 use crate::param::Parameter;
 use crate::quant::QuantScheme;
 use crate::scratch::{ScratchBuffer, ScratchI32, ScratchI8};
@@ -367,8 +367,7 @@ impl Conv2d {
     /// `i8` columns directly (no f32 column buffer), multiplied against
     /// the persistent packed weight panels with exact `i32`
     /// accumulation, and requantized back to the activation scale with
-    /// the f32 bias — and, when fused, the following Relu/MaxPool —
-    /// applied in the same sweep.
+    /// the f32 bias applied in the same sweep.
     ///
     /// Each batch chunk runs ONE merged GEMM over `chunk·out²` columns
     /// (images side by side) instead of a GEMM per image, amortizing the
@@ -376,7 +375,7 @@ impl Conv2d {
     /// scale. Integer accumulation is exact under any column blocking
     /// and per-image scales are applied only in the epilogue, so the
     /// output is bit-identical at every thread count and chunking.
-    fn forward_int8(&mut self, input: &Tensor, epi: Int8Epilogue) -> Tensor {
+    fn forward_int8(&mut self, input: &Tensor) -> Tensor {
         let dims = input.shape().dims();
         assert_eq!(dims.len(), 4, "conv input must be [batch, C, H, W]");
         let (batch, chans, in_side) = (dims[0], dims[1], dims[2]);
@@ -389,19 +388,7 @@ impl Conv2d {
         let rows = g.in_channels * g.kernel * g.kernel;
         let ow2 = out * out;
         let image_len = chans * in_side * in_side;
-        // Geometry after the fused epilogue (pooling shrinks the side).
-        let out_final = match epi {
-            Int8Epilogue::MaxPool { window } => {
-                assert!(
-                    out >= window && out.is_multiple_of(window),
-                    "caller must decline unfusable pool shapes"
-                );
-                out / window
-            }
-            _ => out,
-        };
-        let fin2 = out_final * out_final;
-        let fout_len = g.out_channels * fin2;
+        let gout_len = g.out_channels * ow2;
 
         let (pa, w_scheme) = ensure_packed(
             &mut self.packed,
@@ -432,7 +419,7 @@ impl Conv2d {
         let colsq_all = self.scratch.colsq.filled(batch * rows * ow2);
         let acc_all = self.scratch.acc.filled(batch * g.out_channels * ow2);
 
-        let mut output = vec![0.0f32; batch * fout_len];
+        let mut output = vec![0.0f32; batch * gout_len];
         let flops = 2 * batch * g.out_channels * rows * ow2;
         let threads = if flops < BATCH_PAR_MIN_FLOPS {
             1
@@ -440,7 +427,7 @@ impl Conv2d {
             rhb_par::pool().threads()
         };
         let ranges = rhb_par::split_range(batch, threads, 1);
-        let out_chunks = rhb_par::split_slice_mut(&mut output, &ranges, fout_len);
+        let out_chunks = rhb_par::split_slice_mut(&mut output, &ranges, gout_len);
         let col_chunks = rhb_par::split_slice_mut(colsq_all, &ranges, rows * ow2);
         let acc_chunks = rhb_par::split_slice_mut(acc_all, &ranges, g.out_channels * ow2);
         let is_1x1 = g.kernel == 1 && g.stride == 1 && g.padding == 0;
@@ -493,50 +480,16 @@ impl Conv2d {
                         cstride,
                     );
                     // Per-image requantize epilogue (each image has its
-                    // own deq scale), with the fused tail applied in the
-                    // same sweep.
+                    // own deq scale).
                     for (i, b) in r.clone().enumerate() {
                         let deq = img_deq[b];
-                        let dst = &mut out_chunk[i * fout_len..(i + 1) * fout_len];
+                        let dst = &mut out_chunk[i * gout_len..(i + 1) * gout_len];
                         for oc in 0..g.out_channels {
                             let bval = bias_eff.map_or(0.0, |bv| bv[oc]);
                             let arow =
                                 &acc_chunk[oc * cstride + i * ow2..oc * cstride + i * ow2 + ow2];
-                            match epi {
-                                Int8Epilogue::None => {
-                                    for (o, &a) in
-                                        dst[oc * ow2..(oc + 1) * ow2].iter_mut().zip(arow)
-                                    {
-                                        *o = a as f32 * deq + bval;
-                                    }
-                                }
-                                Int8Epilogue::Relu => {
-                                    for (o, &a) in
-                                        dst[oc * ow2..(oc + 1) * ow2].iter_mut().zip(arow)
-                                    {
-                                        *o = (a as f32 * deq + bval).max(0.0);
-                                    }
-                                }
-                                Int8Epilogue::MaxPool { window } => {
-                                    // `acc ↦ acc·deq + bias` is monotone
-                                    // (deq > 0), so the window max over
-                                    // i32 accumulators requantizes to
-                                    // exactly the max of the requantized
-                                    // values.
-                                    let drow = &mut dst[oc * fin2..(oc + 1) * fin2];
-                                    for py in 0..out_final {
-                                        for px in 0..out_final {
-                                            let mut m = i32::MIN;
-                                            for wy in 0..window {
-                                                let base = (py * window + wy) * out + px * window;
-                                                for &a in &arow[base..base + window] {
-                                                    m = m.max(a);
-                                                }
-                                            }
-                                            drow[py * out_final + px] = m as f32 * deq + bval;
-                                        }
-                                    }
-                                }
+                            for (o, &a) in dst[oc * ow2..(oc + 1) * ow2].iter_mut().zip(arow) {
+                                *o = a as f32 * deq + bval;
                             }
                         }
                     }
@@ -544,14 +497,14 @@ impl Conv2d {
             })
             .collect();
         run_batch_tasks(tasks);
-        Tensor::from_vec(output, &[batch, g.out_channels, out_final, out_final])
+        Tensor::from_vec(output, &[batch, g.out_channels, out, out])
     }
 }
 
 impl Layer for Conv2d {
     fn forward_mode(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         if mode == Mode::Int8 {
-            return self.forward_int8(input, Int8Epilogue::None);
+            return self.forward_int8(input);
         }
         let dims = input.shape().dims();
         assert_eq!(dims.len(), 4, "conv input must be [batch, C, H, W]");
@@ -746,23 +699,6 @@ impl Layer for Conv2d {
     fn op_name(&self) -> &'static str {
         "conv2d"
     }
-
-    fn try_forward_int8_fused(&mut self, input: &Tensor, epi: Int8Epilogue) -> Option<Tensor> {
-        let dims = input.shape().dims();
-        if dims.len() != 4 || dims[2] != dims[3] {
-            return None;
-        }
-        let out = self.geom.out_side(dims[2]).ok()?;
-        if let Int8Epilogue::MaxPool { window } = epi {
-            // Decline shapes the standalone MaxPool2d treats specially
-            // (identity when side < window) or that don't tile evenly —
-            // the pair then runs unfused and stays bit-identical.
-            if out < window || out % window != 0 {
-                return None;
-            }
-        }
-        Some(self.forward_int8(input, epi))
-    }
 }
 
 #[cfg(test)]
@@ -932,46 +868,6 @@ mod tests {
                 "image {b}: merged-batch GEMM must be bit-identical to per-image"
             );
         }
-    }
-
-    #[test]
-    fn int8_relu_and_maxpool_fusion_are_bit_identical_to_unfused() {
-        use crate::pool::MaxPool2d;
-        let mut conv = tiny_conv(1, 1);
-        for p in conv.params_mut() {
-            p.deploy().unwrap();
-        }
-        let x = random_input(&[2, 2, 8, 8], 13);
-        let base = conv.forward_mode(&x, Mode::Int8);
-
-        let fused_relu = conv
-            .try_forward_int8_fused(&x, Int8Epilogue::Relu)
-            .expect("relu fusion is always available");
-        assert_eq!(fused_relu, base.map(|v| v.max(0.0)));
-
-        let mut pool = MaxPool2d::new(2);
-        let unfused_pool = pool.forward_mode(&base, Mode::Int8);
-        let fused_pool = conv
-            .try_forward_int8_fused(&x, Int8Epilogue::MaxPool { window: 2 })
-            .expect("8x8 output tiles evenly by 2");
-        assert_eq!(fused_pool, unfused_pool);
-    }
-
-    #[test]
-    fn int8_fusion_declines_pool_shapes_the_layer_treats_specially() {
-        let mut conv = tiny_conv(1, 1);
-        for p in conv.params_mut() {
-            p.deploy().unwrap();
-        }
-        let x = random_input(&[1, 2, 3, 3], 17);
-        // out side 3: window 2 doesn't divide it; window 4 exceeds it
-        // (standalone MaxPool2d would run its identity path).
-        assert!(conv
-            .try_forward_int8_fused(&x, Int8Epilogue::MaxPool { window: 2 })
-            .is_none());
-        assert!(conv
-            .try_forward_int8_fused(&x, Int8Epilogue::MaxPool { window: 4 })
-            .is_none());
     }
 
     #[test]

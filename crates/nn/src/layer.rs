@@ -50,38 +50,6 @@ impl Mode {
     }
 }
 
-/// A cheap elementwise/pooling tail a GEMM layer can absorb into its
-/// int8 requantize sweep.
-///
-/// In [`Mode::Int8`] the conv/linear epilogue already walks every `i32`
-/// accumulator once to requantize it (`acc · deq + bias`); applying the
-/// *next* layer's function during that same walk removes a full tensor
-/// traversal plus an output-tensor allocation per fused pair. Both
-/// fusions are bit-identical to running the layers separately:
-///
-/// * `Relu` — `max(acc·deq + bias, 0)` is exactly relu-after-requantize.
-/// * `MaxPool` — requantization is monotone non-decreasing in `acc`
-///   (`deq > 0`), so `max` commutes through it *exactly*, window by
-///   window.
-///
-/// [`Sequential::forward_mode`] runs the peephole: when a layer reports
-/// an absorbable epilogue via [`Layer::int8_epilogue`], the preceding
-/// layer is offered it through [`Layer::try_forward_int8_fused`] and the
-/// absorbed layer is skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Int8Epilogue {
-    /// Plain requantize: `acc·deq + bias`.
-    None,
-    /// Fused `max(·, 0)` (an absorbed `Relu`).
-    Relu,
-    /// Fused non-overlapping spatial max-pool (an absorbed `MaxPool2d`
-    /// with `stride == window`), applied after requantization.
-    MaxPool {
-        /// Pooling window side (= stride).
-        window: usize,
-    },
-}
-
 /// One differentiable building block.
 ///
 /// Contract: `backward` may only be called after `forward` with
@@ -128,30 +96,6 @@ pub trait Layer: Send {
         "layer"
     }
 
-    /// If this layer is a cheap elementwise/pooling op the *previous*
-    /// GEMM layer could absorb into its int8 requantize sweep, the
-    /// epilogue describing it. `None` (the default) means the layer must
-    /// run on its own.
-    ///
-    /// Only layers whose int8 forward is a pure function the fused
-    /// epilogue reproduces **bit-identically** may return `Some` —
-    /// `Relu`, and `MaxPool2d` with `stride == window`.
-    fn int8_epilogue(&self) -> Option<Int8Epilogue> {
-        None
-    }
-
-    /// Attempts a fused [`Mode::Int8`] forward with `epi` applied inside
-    /// this layer's requantize sweep, returning the tensor the *pair*
-    /// (this layer + the absorbed one) would have produced.
-    ///
-    /// Returning `None` means this layer cannot absorb `epi` (or has no
-    /// fused path at all — the default); the caller must then run both
-    /// layers unfused. Implementations must be bit-identical to the
-    /// unfused pair.
-    fn try_forward_int8_fused(&mut self, _input: &Tensor, _epi: Int8Epilogue) -> Option<Tensor> {
-        None
-    }
-
     /// [`Layer::forward_mode`] plus a per-layer eval-timing sample.
     ///
     /// For the two inference modes this records the layer's wall time
@@ -159,8 +103,9 @@ pub trait Layer: Send {
     /// `i8` for [`Mode::Int8`]) — the measurement surface for "where does
     /// inference time go, and does int8 actually win per op?". Training
     /// and frozen forwards, or a disabled registry, skip straight to
-    /// `forward_mode`. [`Sequential`] and the model zoo's hand-rolled
-    /// forward graphs route every layer call through this.
+    /// `forward_mode`. [`Sequential`] routes every layer call through
+    /// this; [`Residual`] records no sample of its own, since each layer
+    /// inside it records one.
     fn forward_instrumented(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let engine = match mode {
             Mode::Eval => "f32",
@@ -237,50 +182,27 @@ impl std::fmt::Debug for Sequential {
 
 impl Layer for Sequential {
     fn forward_mode(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let t0 = rhb_telemetry::enabled().then(std::time::Instant::now);
-        let mut x = input.clone();
-        let mut i = 0;
-        while i < self.layers.len() {
-            // Int8 peephole: when the next layer is an absorbable
-            // epilogue (Relu / non-overlapping MaxPool2d), offer it to
-            // the current layer's fused requantize sweep and skip the
-            // absorbed layer. Bit-identical to the unfused pair; timing
-            // for the fused call is recorded under the GEMM layer's op.
-            if mode == Mode::Int8 && i + 1 < self.layers.len() {
-                if let Some(epi) = self.layers[i + 1].int8_epilogue() {
-                    let tf = rhb_telemetry::enabled().then(std::time::Instant::now);
-                    if let Some(out) = self.layers[i].try_forward_int8_fused(&x, epi) {
-                        if let Some(tf) = tf {
-                            rhb_telemetry::observe_value(
-                                &format!("nn/eval/{}_i8_s", self.layers[i].op_name()),
-                                tf.elapsed().as_secs_f64(),
-                            );
-                        }
-                        x = out;
-                        i += 2;
-                        continue;
-                    }
-                }
-            }
-            x = self.layers[i].forward_instrumented(&x, mode);
-            i += 1;
-        }
-        if let Some(t0) = t0 {
-            rhb_telemetry::observe_value("nn/seq_forward_s", t0.elapsed().as_secs_f64());
-            rhb_telemetry::add_counter("nn/forward_passes", 1);
+        // The first layer reads `input` in place: nested stacks (a
+        // residual block's paths) then cost no extra tensor copy.
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else {
+            return input.clone();
+        };
+        let mut x = first.forward_instrumented(input, mode);
+        for layer in layers {
+            x = layer.forward_instrumented(&x, mode);
         }
         x
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let t0 = rhb_telemetry::enabled().then(std::time::Instant::now);
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return grad_output.clone();
+        };
+        let mut g = last.backward(grad_output);
+        for layer in layers {
             g = layer.backward(&g);
-        }
-        if let Some(t0) = t0 {
-            rhb_telemetry::observe_value("nn/seq_backward_s", t0.elapsed().as_secs_f64());
-            rhb_telemetry::add_counter("nn/backward_passes", 1);
         }
         g
     }
@@ -302,12 +224,81 @@ impl Layer for Sequential {
     }
 }
 
+/// A residual block: `main(x) + projection(x)`, or `main(x) + x` when
+/// there is no projection (the identity skip).
+///
+/// Parameters are listed main path first, then projection — the
+/// weight-file order of the zoo's ResNets. The block keeps no state of
+/// its own: the layers inside it hold the caches a backward needs.
+#[derive(Debug)]
+pub struct Residual {
+    main: Sequential,
+    projection: Option<Sequential>,
+}
+
+impl Residual {
+    /// A block summing `main` with `projection` (or with its input).
+    pub fn new(main: Sequential, projection: Option<Sequential>) -> Self {
+        Residual { main, projection }
+    }
+}
+
+impl Layer for Residual {
+    fn forward_mode(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        let mut out = self.main.forward_mode(input, mode);
+        match &mut self.projection {
+            Some(projection) => out.axpy(1.0, &projection.forward_mode(input, mode)),
+            None => out.axpy(1.0, input),
+        }
+        out
+    }
+
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        let mut grad_input = self.main.backward(grad_output);
+        match &mut self.projection {
+            Some(projection) => grad_input.axpy(1.0, &projection.backward(grad_output)),
+            None => grad_input.axpy(1.0, grad_output),
+        }
+        grad_input
+    }
+
+    fn params(&self) -> Vec<&Parameter> {
+        let mut v = self.main.params();
+        if let Some(projection) = &self.projection {
+            v.extend(projection.params());
+        }
+        v
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Parameter> {
+        let mut v = self.main.params_mut();
+        if let Some(projection) = &mut self.projection {
+            v.extend(projection.params_mut());
+        }
+        v
+    }
+
+    fn describe(&self) -> String {
+        let skip = self
+            .projection
+            .as_ref()
+            .map_or_else(|| "identity".to_string(), |p| p.describe());
+        format!("Residual[{} + {skip}]", self.main.describe())
+    }
+
+    fn forward_instrumented(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        self.forward_mode(input, mode)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::activation::Relu;
+    use crate::conv::{Conv2d, ConvGeometry};
     use crate::init::Rng;
     use crate::linear::Linear;
+    use crate::norm::BatchNorm2d;
 
     #[test]
     fn sequential_chains_shapes() {
@@ -367,36 +358,11 @@ mod tests {
         assert!(names.contains(&"nn/eval/relu_f32_s"), "{names:?}");
         assert!(names.contains(&"nn/eval/linear_i8_s"), "{names:?}");
         assert!(
-            !names.contains(&"nn/eval/relu_i8_s"),
-            "int8 relu is absorbed into the linear requantize sweep: {names:?}"
+            names.contains(&"nn/eval/relu_i8_s"),
+            "every int8 layer call records its own sample: {names:?}"
         );
         rhb_telemetry::shutdown();
         rhb_telemetry::reset();
-    }
-
-    #[test]
-    fn int8_relu_fusion_is_bit_identical_to_unfused_layers() {
-        let mut rng = Rng::seed_from(21);
-        let mut lin = Linear::new(7, 5, true, &mut rng);
-        let mut relu = Relu::new();
-        let x = {
-            let mut t = Tensor::zeros(&[3, 7]);
-            let mut r = Rng::seed_from(22);
-            for v in t.data_mut() {
-                *v = r.normal();
-            }
-            t
-        };
-        for p in lin.params_mut() {
-            p.deploy().expect("deploy test weights");
-        }
-        let unfused = relu.forward_mode(&lin.forward_mode(&x, Mode::Int8), Mode::Int8);
-
-        let mut net = Sequential::new();
-        net.push(Box::new(lin));
-        net.push(Box::new(relu));
-        let fused = net.forward_mode(&x, Mode::Int8);
-        assert_eq!(fused, unfused, "fused epilogue must be bit-identical");
     }
 
     #[test]
@@ -418,5 +384,97 @@ mod tests {
         assert!(net.params()[0].grad.max_abs() > 0.0);
         net.zero_grad();
         assert_eq!(net.params()[0].grad.max_abs(), 0.0);
+    }
+
+    fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
+        let mut rng = Rng::seed_from(seed);
+        let mut t = Tensor::zeros(dims);
+        for v in t.data_mut() {
+            *v = rng.uniform(-1.0, 1.0);
+        }
+        t
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A basic residual block's two stacks: conv/bn/relu/conv/bn on the
+    /// main path, plus a 1×1 conv/bn projection when the block changes
+    /// shape. The same arguments always give identical copies.
+    fn block(in_ch: usize, out_ch: usize, stride: usize) -> (Sequential, Option<Sequential>) {
+        let mut rng = Rng::seed_from(31);
+        let mut conv = |in_channels, kernel, stride, padding| {
+            let geom = ConvGeometry {
+                in_channels,
+                out_channels: out_ch,
+                kernel,
+                stride,
+                padding,
+            };
+            Box::new(Conv2d::new(geom, false, &mut rng))
+        };
+        let mut main = Sequential::new();
+        main.push(conv(in_ch, 3, stride, 1));
+        main.push(Box::new(BatchNorm2d::new(out_ch)));
+        main.push(Box::new(Relu::new()));
+        main.push(conv(out_ch, 3, 1, 1));
+        main.push(Box::new(BatchNorm2d::new(out_ch)));
+        let projection = (stride != 1 || in_ch != out_ch).then(|| {
+            let mut skip = Sequential::new();
+            skip.push(conv(in_ch, 1, stride, 0));
+            skip.push(Box::new(BatchNorm2d::new(out_ch)));
+            skip
+        });
+        (main, projection)
+    }
+
+    /// `Residual` against the same stacks composed by hand: the skip
+    /// added onto the main output, and the two input gradients summed.
+    /// Output, input gradient and every parameter gradient (main path
+    /// first) must agree bit for bit.
+    fn assert_residual_matches_hand_composition(in_ch: usize, out_ch: usize, stride: usize) {
+        let x = random_tensor(&[2, in_ch, 6, 6], 32);
+        let out_side = 6 / stride;
+        let g = random_tensor(&[2, out_ch, out_side, out_side], 33);
+        for mode in [Mode::Train, Mode::Frozen] {
+            let (mut main, mut projection) = block(in_ch, out_ch, stride);
+            let mut y_hand = main.forward_mode(&x, mode);
+            y_hand.axpy(
+                1.0,
+                &projection
+                    .as_mut()
+                    .map_or_else(|| x.clone(), |p| p.forward_mode(&x, mode)),
+            );
+            let mut gin_hand = main.backward(&g);
+            gin_hand.axpy(
+                1.0,
+                &projection
+                    .as_mut()
+                    .map_or_else(|| g.clone(), |p| p.backward(&g)),
+            );
+            let mut params_hand = main.params();
+            params_hand.extend(projection.iter().flat_map(|p| p.params()));
+            let grads_hand: Vec<Vec<u32>> = params_hand.iter().map(|p| bits(&p.grad)).collect();
+
+            let (main, projection) = block(in_ch, out_ch, stride);
+            let mut residual = Residual::new(main, projection);
+            let y = residual.forward_mode(&x, mode);
+            let gin = residual.backward(&g);
+            let grads: Vec<Vec<u32>> = residual.params().iter().map(|p| bits(&p.grad)).collect();
+            assert_eq!(bits(&y), bits(&y_hand), "{mode:?} output");
+            assert_eq!(bits(&gin), bits(&gin_hand), "{mode:?} input gradient");
+            assert_eq!(grads, grads_hand, "{mode:?} parameter gradients");
+        }
+    }
+
+    #[test]
+    fn residual_identity_skip_matches_hand_composition() {
+        assert_residual_matches_hand_composition(3, 3, 1);
+    }
+
+    #[test]
+    fn residual_projection_skip_matches_hand_composition() {
+        assert_residual_matches_hand_composition(3, 5, 2);
     }
 }

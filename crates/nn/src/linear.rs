@@ -3,7 +3,7 @@
 use crate::gemm;
 use crate::gemm_i8;
 use crate::init::{kaiming_normal, Rng};
-use crate::layer::{Int8Epilogue, Layer, Mode};
+use crate::layer::{Layer, Mode};
 use crate::param::Parameter;
 use crate::quant::QuantScheme;
 use crate::scratch::{ScratchBuffer, ScratchI32, ScratchI8};
@@ -131,7 +131,7 @@ impl Linear {
     /// own dynamic scale, so a sample's logits never depend on its
     /// batchmates and int8 outputs are batch-size invariant (the
     /// batching half of the parity contract in `DESIGN.md`).
-    fn forward_int8(&mut self, input: &Tensor, epi: Int8Epilogue) -> Tensor {
+    fn forward_int8(&mut self, input: &Tensor) -> Tensor {
         let batch = input.shape().dim(0);
         let (m, k, n) = (batch, self.in_features, self.out_features);
         let (pb, w_scheme) =
@@ -147,23 +147,20 @@ impl Linear {
         let acc = self.scratch.acc.filled(m * n);
         // y_q = x_q W_q^T (exact integer arithmetic, prepacked panels)
         gemm_i8::gemm_i8_nt_pb(xq, pb, acc, m);
-        let relu = epi == Int8Epilogue::Relu;
         let mut out = vec![0.0f32; m * n];
         match &self.bias {
             Some(bias) => {
                 let b = bias.effective_into(&mut self.scratch.bias_eff);
                 for ((row, acc_row), &deq) in out.chunks_mut(n).zip(acc.chunks(n)).zip(&row_deq) {
                     for ((o, &a), &bv) in row.iter_mut().zip(acc_row).zip(b) {
-                        let v = a as f32 * deq + bv;
-                        *o = if relu { v.max(0.0) } else { v };
+                        *o = a as f32 * deq + bv;
                     }
                 }
             }
             None => {
                 for ((row, acc_row), &deq) in out.chunks_mut(n).zip(acc.chunks(n)).zip(&row_deq) {
                     for (o, &a) in row.iter_mut().zip(acc_row) {
-                        let v = a as f32 * deq;
-                        *o = if relu { v.max(0.0) } else { v };
+                        *o = a as f32 * deq;
                     }
                 }
             }
@@ -182,7 +179,7 @@ impl Layer for Linear {
             self.in_features
         );
         if mode == Mode::Int8 {
-            return self.forward_int8(input, Int8Epilogue::None);
+            return self.forward_int8(input);
         }
         let batch = input.shape().dim(0);
         let (m, k, n) = (batch, self.in_features, self.out_features);
@@ -267,15 +264,6 @@ impl Layer for Linear {
 
     fn op_name(&self) -> &'static str {
         "linear"
-    }
-
-    fn try_forward_int8_fused(&mut self, input: &Tensor, epi: Int8Epilogue) -> Option<Tensor> {
-        // Linear outputs are [batch, out]: only the elementwise Relu
-        // tail can be absorbed; spatial pooling cannot.
-        match epi {
-            Int8Epilogue::Relu => Some(self.forward_int8(input, epi)),
-            _ => None,
-        }
     }
 }
 
@@ -443,20 +431,6 @@ mod tests {
             let yi = layer.forward_mode(&xi, Mode::Int8);
             assert_eq!(yi.data(), &y_all.data()[i * 8..(i + 1) * 8]);
         }
-    }
-
-    #[test]
-    fn int8_relu_fusion_is_bit_identical_and_pool_is_declined() {
-        let mut layer = deployed_layer(12);
-        let x = random_input(13, 3);
-        let base = layer.forward_mode(&x, Mode::Int8);
-        let fused = layer
-            .try_forward_int8_fused(&x, Int8Epilogue::Relu)
-            .expect("linear absorbs relu");
-        assert_eq!(fused, base.map(|v| v.max(0.0)));
-        assert!(layer
-            .try_forward_int8_fused(&x, Int8Epilogue::MaxPool { window: 2 })
-            .is_none());
     }
 
     #[test]

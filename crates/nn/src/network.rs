@@ -1,7 +1,8 @@
 //! The [`Network`] trait: the interface the attack framework sees.
 
 use crate::error::Result;
-use crate::layer::Mode;
+use crate::layer::{Layer, Mode, Sequential};
+use crate::param::Parameter;
 use crate::quant::QuantizedTensor;
 use crate::tensor::Tensor;
 
@@ -24,10 +25,10 @@ pub trait Network: Send {
     fn backward(&mut self, grad_logits: &Tensor) -> Tensor;
 
     /// Immutable parameter views in deterministic (weight-file) order.
-    fn params(&self) -> Vec<&crate::param::Parameter>;
+    fn params(&self) -> Vec<&Parameter>;
 
     /// Mutable parameter views in the same order.
-    fn params_mut(&mut self) -> Vec<&mut crate::param::Parameter>;
+    fn params_mut(&mut self) -> Vec<&mut Parameter>;
 
     /// Clears every parameter gradient.
     fn zero_grad(&mut self) {
@@ -86,6 +87,63 @@ pub trait Network: Send {
 
     /// A human-readable architecture summary.
     fn describe(&self) -> String;
+}
+
+/// A classifier whose whole graph is one [`Sequential`]: the one
+/// [`Network`] implementation every model-zoo victim shares.
+///
+/// Each network pass records the pass-level telemetry once, here rather
+/// than per nested stack: `nn/seq_forward_s` and the `nn/forward_passes`
+/// counter for a forward, `nn/seq_backward_s` and `nn/backward_passes`
+/// for a backward.
+#[derive(Debug)]
+pub struct SequentialNet {
+    graph: Sequential,
+    description: String,
+}
+
+impl SequentialNet {
+    /// Wraps `graph`; `description` is what [`Network::describe`] returns.
+    pub fn new(graph: Sequential, description: impl Into<String>) -> Self {
+        SequentialNet {
+            graph,
+            description: description.into(),
+        }
+    }
+}
+
+impl Network for SequentialNet {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        let t0 = rhb_telemetry::enabled().then(std::time::Instant::now);
+        let out = self.graph.forward_mode(input, mode);
+        if let Some(t0) = t0 {
+            rhb_telemetry::observe_value("nn/seq_forward_s", t0.elapsed().as_secs_f64());
+            rhb_telemetry::add_counter("nn/forward_passes", 1);
+        }
+        out
+    }
+
+    fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
+        let t0 = rhb_telemetry::enabled().then(std::time::Instant::now);
+        let grad_input = self.graph.backward(grad_logits);
+        if let Some(t0) = t0 {
+            rhb_telemetry::observe_value("nn/seq_backward_s", t0.elapsed().as_secs_f64());
+            rhb_telemetry::add_counter("nn/backward_passes", 1);
+        }
+        grad_input
+    }
+
+    fn params(&self) -> Vec<&Parameter> {
+        self.graph.params()
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Parameter> {
+        self.graph.params_mut()
+    }
+
+    fn describe(&self) -> String {
+        self.description.clone()
+    }
 }
 
 /// Which arithmetic a deployed victim's forward pass runs.
@@ -198,44 +256,21 @@ pub fn restore_params(net: &mut dyn Network, snapshot: &[Tensor]) {
 mod tests {
     use super::*;
     use crate::init::Rng;
-    use crate::layer::{Layer, Sequential};
     use crate::linear::Linear;
 
-    /// A minimal Network impl used by substrate tests.
-    struct Mlp(Sequential);
-
-    impl Mlp {
-        fn new(seed: u64) -> Self {
-            let mut rng = Rng::seed_from(seed);
-            let mut seq = Sequential::new();
-            seq.push(Box::new(Linear::new(4, 8, true, &mut rng)));
-            seq.push(Box::new(crate::activation::Relu::new()));
-            seq.push(Box::new(Linear::new(8, 3, true, &mut rng)));
-            Mlp(seq)
-        }
-    }
-
-    impl Network for Mlp {
-        fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-            self.0.forward_mode(input, mode)
-        }
-        fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-            self.0.backward(grad_logits)
-        }
-        fn params(&self) -> Vec<&crate::param::Parameter> {
-            self.0.params()
-        }
-        fn params_mut(&mut self) -> Vec<&mut crate::param::Parameter> {
-            self.0.params_mut()
-        }
-        fn describe(&self) -> String {
-            self.0.describe()
-        }
+    /// A minimal MLP used by substrate tests.
+    fn mlp(seed: u64) -> SequentialNet {
+        let mut rng = Rng::seed_from(seed);
+        let mut seq = Sequential::new();
+        seq.push(Box::new(Linear::new(4, 8, true, &mut rng)));
+        seq.push(Box::new(crate::activation::Relu::new()));
+        seq.push(Box::new(Linear::new(8, 3, true, &mut rng)));
+        SequentialNet::new(seq, "mlp")
     }
 
     #[test]
     fn deploy_freezes_every_parameter() {
-        let mut net = Mlp::new(3);
+        let mut net = mlp(3);
         assert!(!net.is_deployed());
         net.deploy().unwrap();
         assert!(net.is_deployed());
@@ -243,7 +278,7 @@ mod tests {
 
     #[test]
     fn quantized_round_trip_preserves_deployed_model_output() {
-        let mut net = Mlp::new(4);
+        let mut net = mlp(4);
         net.deploy().unwrap();
         let x = Tensor::full(&[1, 4], 0.5);
         let y_before = net.forward(&x, Mode::Eval);
@@ -257,7 +292,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trips() {
-        let mut net = Mlp::new(5);
+        let mut net = mlp(5);
         let snap = snapshot_params(&net);
         net.params_mut()[0].value.data_mut()[0] += 1.0;
         restore_params(&mut net, &snap);
@@ -266,7 +301,7 @@ mod tests {
 
     #[test]
     fn num_params_counts_all_tensors() {
-        let net = Mlp::new(6);
+        let net = mlp(6);
         assert_eq!(net.num_params(), 4 * 8 + 8 + 8 * 3 + 3);
     }
 
@@ -294,7 +329,7 @@ mod tests {
 
     #[test]
     fn classify_batch_matches_manual_forward_argmax() {
-        let mut net = Mlp::new(7);
+        let mut net = mlp(7);
         net.deploy().unwrap();
         let x = Tensor::from_vec(
             (0..8).map(|i| (i as f32 * 0.37).sin()).collect::<Vec<_>>(),

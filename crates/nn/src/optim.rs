@@ -132,43 +132,21 @@ impl StepLr {
 mod tests {
     use super::*;
     use crate::init::Rng;
-    use crate::layer::{Layer, Mode, Sequential};
+    use crate::layer::{Mode, Sequential};
     use crate::linear::Linear;
     use crate::loss::cross_entropy;
-    use crate::param::Parameter;
+    use crate::network::SequentialNet;
 
-    struct Tiny(Sequential);
-
-    impl Tiny {
-        fn new() -> Self {
-            let mut rng = Rng::seed_from(17);
-            let mut seq = Sequential::new();
-            seq.push(Box::new(Linear::new(2, 2, true, &mut rng)));
-            Tiny(seq)
-        }
-    }
-
-    impl Network for Tiny {
-        fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-            self.0.forward_mode(input, mode)
-        }
-        fn backward(&mut self, grad: &Tensor) -> Tensor {
-            self.0.backward(grad)
-        }
-        fn params(&self) -> Vec<&Parameter> {
-            self.0.params()
-        }
-        fn params_mut(&mut self) -> Vec<&mut Parameter> {
-            self.0.params_mut()
-        }
-        fn describe(&self) -> String {
-            "tiny".into()
-        }
+    fn tiny() -> SequentialNet {
+        let mut rng = Rng::seed_from(17);
+        let mut seq = Sequential::new();
+        seq.push(Box::new(Linear::new(2, 2, true, &mut rng)));
+        SequentialNet::new(seq, "tiny")
     }
 
     #[test]
     fn sgd_reduces_loss_on_separable_data() {
-        let mut net = Tiny::new();
+        let mut net = tiny();
         let mut opt = Sgd::new(
             &net,
             SgdConfig {
@@ -195,7 +173,7 @@ mod tests {
 
     #[test]
     fn masked_step_only_touches_selected_indices() {
-        let mut net = Tiny::new();
+        let mut net = tiny();
         let mut opt = Sgd::new(
             &net,
             SgdConfig {
@@ -237,7 +215,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn masked_step_rejects_out_of_range_index() {
-        let mut net = Tiny::new();
+        let mut net = tiny();
         let mut opt = Sgd::new(&net, SgdConfig::default());
         opt.step_masked(&mut net, &[1000]);
     }

@@ -1,6 +1,6 @@
 //! Pooling layers.
 
-use crate::layer::{Int8Epilogue, Layer, Mode};
+use crate::layer::{Layer, Mode};
 use crate::param::Parameter;
 use crate::tensor::Tensor;
 
@@ -179,17 +179,6 @@ impl Layer for MaxPool2d {
 
     fn op_name(&self) -> &'static str {
         "max_pool2d"
-    }
-
-    fn int8_epilogue(&self) -> Option<Int8Epilogue> {
-        // Requantization (`acc·deq + bias`, `deq > 0`) is monotone, so a
-        // window max taken inside the preceding GEMM layer's requantize
-        // sweep is bit-identical to pooling its output afterwards. GEMM
-        // layers decline the fusion (run unfused) for shapes this layer
-        // treats specially, e.g. the `side < window` identity case.
-        Some(Int8Epilogue::MaxPool {
-            window: self.window,
-        })
     }
 }
 

@@ -18,82 +18,61 @@ use proptest::prelude::*;
 use rhb_nn::activation::Relu;
 use rhb_nn::conv::{Conv2d, ConvGeometry};
 use rhb_nn::init::Rng;
-use rhb_nn::layer::{Layer, Mode, Sequential};
+use rhb_nn::layer::{Mode, Sequential};
 use rhb_nn::linear::Linear;
-use rhb_nn::network::Network;
+use rhb_nn::network::{Network, SequentialNet};
 use rhb_nn::pool::GlobalAvgPool;
 use rhb_nn::tensor::Tensor;
 use rhb_nn::weightfile::{ByteLocation, WeightFile};
-use rhb_nn::{NnError, Parameter};
+use rhb_nn::NnError;
 use std::sync::Mutex;
 
 /// The global pool is process-wide; tests that resize it must not
 /// interleave with each other.
 static GLOBAL_POOL_LOCK: Mutex<()> = Mutex::new(());
 
-/// A small victim assembled from substrate layers.
-struct Net(Sequential);
+/// Total scalar weights of [`mlp`]: 12×16 + 16 + 16×4 + 4.
+const MLP_WEIGHTS: usize = 12 * 16 + 16 + 16 * 4 + 4;
 
-impl Net {
-    /// Total scalar weights of [`Net::mlp`]: 12×16 + 16 + 16×4 + 4.
-    const MLP_WEIGHTS: usize = 12 * 16 + 16 + 16 * 4 + 4;
-
-    fn mlp(seed: u64) -> Self {
-        let mut rng = Rng::seed_from(seed);
-        let mut seq = Sequential::new();
-        seq.push(Box::new(Linear::new(12, 16, true, &mut rng)));
-        seq.push(Box::new(Relu::new()));
-        seq.push(Box::new(Linear::new(16, 4, true, &mut rng)));
-        Net(seq)
-    }
-
-    fn cnn(seed: u64) -> Self {
-        let mut rng = Rng::seed_from(seed);
-        let mut seq = Sequential::new();
-        seq.push(Box::new(Conv2d::new(
-            ConvGeometry {
-                in_channels: 1,
-                out_channels: 4,
-                kernel: 3,
-                stride: 1,
-                padding: 1,
-            },
-            true,
-            &mut rng,
-        )));
-        seq.push(Box::new(Relu::new()));
-        seq.push(Box::new(GlobalAvgPool::new()));
-        seq.push(Box::new(Linear::new(4, 3, true, &mut rng)));
-        Net(seq)
-    }
+/// A small MLP victim assembled from substrate layers.
+fn mlp(seed: u64) -> SequentialNet {
+    let mut rng = Rng::seed_from(seed);
+    let mut seq = Sequential::new();
+    seq.push(Box::new(Linear::new(12, 16, true, &mut rng)));
+    seq.push(Box::new(Relu::new()));
+    seq.push(Box::new(Linear::new(16, 4, true, &mut rng)));
+    SequentialNet::new(seq, "mlp")
 }
 
-impl Network for Net {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        self.0.forward_mode(input, mode)
-    }
-    fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-        self.0.backward(grad_logits)
-    }
-    fn params(&self) -> Vec<&Parameter> {
-        self.0.params()
-    }
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        self.0.params_mut()
-    }
-    fn describe(&self) -> String {
-        self.0.describe()
-    }
+/// A small CNN victim: conv, relu, global pool, classifier.
+fn cnn(seed: u64) -> SequentialNet {
+    let mut rng = Rng::seed_from(seed);
+    let mut seq = Sequential::new();
+    seq.push(Box::new(Conv2d::new(
+        ConvGeometry {
+            in_channels: 1,
+            out_channels: 4,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        },
+        true,
+        &mut rng,
+    )));
+    seq.push(Box::new(Relu::new()));
+    seq.push(Box::new(GlobalAvgPool::new()));
+    seq.push(Box::new(Linear::new(4, 3, true, &mut rng)));
+    SequentialNet::new(seq, "cnn")
 }
 
-fn deployed_mlp(seed: u64) -> Net {
-    let mut net = Net::mlp(seed);
+fn deployed_mlp(seed: u64) -> SequentialNet {
+    let mut net = mlp(seed);
     net.deploy().unwrap();
     net
 }
 
-fn deployed_cnn(seed: u64) -> Net {
-    let mut net = Net::cnn(seed);
+fn deployed_cnn(seed: u64) -> SequentialNet {
+    let mut net = cnn(seed);
     net.deploy().unwrap();
     net
 }
@@ -203,7 +182,7 @@ proptest! {
     #[test]
     fn weight_file_flip_equals_quantized_step_flip(
         seed in 0u64..500,
-        widx in 0usize..Net::MLP_WEIGHTS,
+        widx in 0usize..MLP_WEIGHTS,
         bit in 0u8..8,
     ) {
         // Path A: flip the bit in the mmap'd weight-file image.
