@@ -129,9 +129,8 @@ fn fine_tune(
 
     for _ in 0..config.iterations {
         if update_trigger {
-            net.zero_grad();
-            let eval = objective.evaluate(net, &batch, &labels, &trigger);
-            trigger.fgsm_step(&eval.grad_triggered_input, config.epsilon);
+            let grad_input = objective.trigger_gradient(net, &batch, &trigger);
+            trigger.fgsm_step(&grad_input, config.epsilon);
         }
         net.zero_grad();
         objective.evaluate(net, &batch, &labels, &trigger);

@@ -231,11 +231,11 @@ pub fn run(
     let mut best: Option<(f32, Vec<Tensor>, Trigger)> = None;
     let period = config.bit_reduction_period.max(1);
     for t in 0..config.iterations {
-        // Step 1: trigger update.
+        // Step 1: trigger update. FGSM reads only the triggered-input
+        // gradient, so no clean pass and no weight gradients.
         if config.update_trigger {
-            net.zero_grad();
-            let eval = objective.evaluate(net, &batch, &labels, &trigger);
-            trigger.fgsm_step(&eval.grad_triggered_input, config.epsilon);
+            let grad_input = objective.trigger_gradient(net, &batch, &trigger);
+            trigger.fgsm_step(&grad_input, config.epsilon);
         }
 
         // Step 2: locate vulnerable weights.
@@ -263,13 +263,13 @@ pub fn run(
         if config.bit_reduction && (t + 1) % period == 0 {
             apply_bit_reduction(net, &theta, &plan, config.allowed_bits);
             bit_reduced = true;
-            // Score the deployable state and checkpoint the best.
-            net.zero_grad();
-            let reduced_eval = objective.evaluate(net, &batch, &labels, &trigger);
-            let better = best.as_ref().is_none_or(|(l, _, _)| reduced_eval.loss < *l);
+            // Score the deployable state (forwards only) and checkpoint
+            // the best.
+            let reduced_loss = objective.loss(net, &batch, &labels, &trigger);
+            let better = best.as_ref().is_none_or(|(l, _, _)| reduced_loss < *l);
             if better {
                 let snapshot = net.params().iter().map(|p| p.value.clone()).collect();
-                best = Some((reduced_eval.loss, snapshot, trigger.clone()));
+                best = Some((reduced_loss, snapshot, trigger.clone()));
             }
         }
         rhb_telemetry::counter!("core/cft/iterations", 1);
@@ -293,10 +293,9 @@ pub fn run(
     if config.bit_reduction {
         // Final reduction, then keep whichever deployable state won.
         apply_bit_reduction(net, &theta, &plan, config.allowed_bits);
-        net.zero_grad();
-        let final_eval = objective.evaluate(net, &batch, &labels, &trigger);
+        let final_loss = objective.loss(net, &batch, &labels, &trigger);
         if let Some((loss, snapshot, best_trigger)) = best {
-            if loss < final_eval.loss {
+            if loss < final_loss {
                 let mut params = net.params_mut();
                 for (p, s) in params.iter_mut().zip(&snapshot) {
                     p.value = s.clone();

@@ -2,10 +2,18 @@
 //!
 //! `F(Δθ, Δx) = Σ_i [(1−α)·ℓ(f(x_i, θ+Δθ), y_i) + α·ℓ(f(x_i+Δx, θ+Δθ), ỹ)]`
 //!
-//! One evaluation runs two forward/backward passes — a clean pass against
-//! the true labels and a triggered pass against the target label — and
-//! accumulates both weight gradients (for locating vulnerable bits) and
-//! the input gradient of the triggered pass (for FGSM trigger learning).
+//! Algorithm 1 reads three different things from F, and each has its own
+//! entry point that computes only that:
+//!
+//! * [`Objective::evaluate`] — the weight gradients (and losses): a
+//!   clean and a triggered forward/backward pass each;
+//! * [`Objective::trigger_gradient`] — the triggered-input gradient for
+//!   the FGSM step: one triggered forward and an input-only backward;
+//! * [`Objective::loss`] — the value of F for bit-reduction
+//!   checkpoints: two inference forwards, no backward.
+//!
+//! All three return the same bits `evaluate` would for the part they
+//! compute.
 
 use crate::trigger::Trigger;
 use rhb_nn::layer::Mode;
@@ -87,6 +95,45 @@ impl Objective {
             grad_triggered_input,
         }
     }
+
+    /// The gradient of F w.r.t. the triggered batch — `evaluate`'s
+    /// `grad_triggered_input`, bit for bit — from the triggered pass alone,
+    /// with an input-only backward: parameter gradients stay untouched.
+    pub fn trigger_gradient(
+        &self,
+        net: &mut dyn Network,
+        batch: &Tensor,
+        trigger: &Trigger,
+    ) -> Tensor {
+        let target_labels = vec![self.target_label; batch.shape().dim(0)];
+        let logits_t = net.forward(&trigger.apply(batch), Mode::Frozen);
+        let mut grad_t = cross_entropy(&logits_t, &target_labels).grad_logits;
+        grad_t.scale(self.alpha);
+        net.backward_input(&grad_t)
+    }
+
+    /// F on a batch — `evaluate`'s `loss`, bit for bit — from two
+    /// `Mode::Eval` forwards: no caches, no backward. `Eval` runs the
+    /// per-element arithmetic of `Frozen`, so the logits are identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch and label counts disagree.
+    pub fn loss(
+        &self,
+        net: &mut dyn Network,
+        batch: &Tensor,
+        labels: &[usize],
+        trigger: &Trigger,
+    ) -> f32 {
+        let batch_size = batch.shape().dim(0);
+        assert_eq!(batch_size, labels.len(), "one label per sample");
+        let clean = cross_entropy(&net.forward(batch, Mode::Eval), labels).loss;
+        let target_labels = vec![self.target_label; batch_size];
+        let logits_t = net.forward(&trigger.apply(batch), Mode::Eval);
+        let trig = cross_entropy(&logits_t, &target_labels).loss;
+        (1.0 - self.alpha) * clean + self.alpha * trig
+    }
 }
 
 #[cfg(test)]
@@ -135,6 +182,48 @@ mod tests {
         };
         let eval = obj.evaluate(net.as_mut(), &x, &y, &trigger);
         assert_eq!(eval.grad_triggered_input.max_abs(), 0.0);
+    }
+
+    /// The narrow entry points compute exactly what `evaluate` computes
+    /// for their part, on every deployed zoo victim: the trigger gradient
+    /// (with parameter gradients left at zero) and the joint loss — the
+    /// latter through `Mode::Eval` forwards, including VGG's max-pools.
+    #[test]
+    fn trigger_gradient_and_loss_match_evaluate_bit_for_bit_on_every_victim() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for arch in Architecture::ALL {
+            let mut model = pretrained(arch, &ZooConfig::tiny(), 3);
+            let net = model.net.as_mut();
+            let (x, y) = model.test_data.head(8);
+            let mask =
+                TriggerMask::paper_default(model.test_data.channels(), model.test_data.side());
+            let mut trigger = Trigger::black_square(mask);
+            let obj = Objective::balanced(2);
+            // A learned (non-black) patch, so the trigger carries detail.
+            net.zero_grad();
+            let eval = obj.evaluate(net, &x, &y, &trigger);
+            trigger.fgsm_step(&eval.grad_triggered_input, 0.05);
+
+            net.zero_grad();
+            let eval = obj.evaluate(net, &x, &y, &trigger);
+            net.zero_grad();
+            let grad = obj.trigger_gradient(net, &x, &trigger);
+            let name = arch.name();
+            assert_eq!(
+                bits(&grad),
+                bits(&eval.grad_triggered_input),
+                "{name} gradient"
+            );
+            for p in net.params() {
+                assert!(
+                    p.grad.data().iter().all(|g| g.to_bits() == 0),
+                    "{name}: {}",
+                    p.name
+                );
+            }
+            let loss = obj.loss(net, &x, &y, &trigger);
+            assert_eq!(loss.to_bits(), eval.loss.to_bits(), "{name} loss");
+        }
     }
 
     #[test]

@@ -141,7 +141,8 @@ impl Trigger {
     /// FGSM update (Eq. 4): steps the masked patch pixels by `epsilon`
     /// against the gradient of the triggered loss, driving inputs toward
     /// the target label. `grad_input` is the loss gradient w.r.t. the
-    /// *triggered* batch, `[batch, C, H, W]`.
+    /// *triggered* batch, `[batch, C, H, W]`. A pixel whose summed
+    /// gradient is zero or NaN stays where it is.
     ///
     /// # Panics
     ///
@@ -171,7 +172,15 @@ impl Trigger {
                     }
                     let i = (c * side + y) * side + x;
                     // Descend the triggered loss: move against the gradient.
-                    let step = -epsilon * summed[i].signum();
+                    // sign(0) is 0 in Eq. 4, and a NaN sum has no sign, so
+                    // only a strictly signed sum moves the pixel.
+                    let step = if summed[i] > 0.0 {
+                        -epsilon
+                    } else if summed[i] < 0.0 {
+                        epsilon
+                    } else {
+                        continue;
+                    };
                     let v = &mut self.pattern.data_mut()[i];
                     *v = (*v + step).clamp(-1.0, 1.0);
                 }
@@ -250,6 +259,34 @@ mod tests {
             t.fgsm_step(&grad, 0.5);
         }
         assert_eq!(t.pattern().at(&[0, 7, 7]), -1.0);
+    }
+
+    #[test]
+    fn fgsm_zero_gradient_leaves_pattern_unchanged() {
+        let mut t = Trigger::black_square(mask());
+        // Off the −1 floor first, so a wrong step toward black would show.
+        t.fgsm_step(&Tensor::full(&[1, 3, 8, 8], -1.0), 0.25);
+        let before = t.pattern().clone();
+        assert_eq!(before.at(&[0, 7, 7]), -0.75);
+        // Opposite-signed samples sum to exactly +0.0.
+        let mut grad = Tensor::full(&[2, 3, 8, 8], 0.5);
+        for g in &mut grad.data_mut()[3 * 8 * 8..] {
+            *g = -0.5;
+        }
+        t.fgsm_step(&grad, 0.25);
+        assert_eq!(t.pattern(), &before);
+        t.fgsm_step(&Tensor::zeros(&[1, 3, 8, 8]), 0.25);
+        assert_eq!(t.pattern(), &before);
+    }
+
+    #[test]
+    fn fgsm_nan_gradient_leaves_pattern_finite_and_unchanged() {
+        let mut t = Trigger::black_square(mask());
+        t.fgsm_step(&Tensor::full(&[1, 3, 8, 8], -1.0), 0.25);
+        let before = t.pattern().clone();
+        t.fgsm_step(&Tensor::full(&[1, 3, 8, 8], f32::NAN), 0.25);
+        assert!(t.pattern().data().iter().all(|v| v.is_finite()));
+        assert_eq!(t.pattern(), &before);
     }
 
     #[test]

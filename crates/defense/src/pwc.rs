@@ -163,6 +163,9 @@ mod tests {
             fn backward(&mut self, g: &Tensor) -> Tensor {
                 g.clone()
             }
+            fn backward_input(&mut self, g: &Tensor) -> Tensor {
+                g.clone()
+            }
             fn params(&self) -> Vec<&Parameter> {
                 vec![&self.0]
             }

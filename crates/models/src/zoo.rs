@@ -471,6 +471,42 @@ mod tests {
         }
     }
 
+    /// `backward_input` is `backward` without the parameter gradients,
+    /// on every zoo graph: after a `Frozen` and after a `Train` forward it
+    /// returns the same input-gradient bits and leaves every parameter
+    /// gradient exactly zero.
+    #[test]
+    fn backward_input_matches_backward_and_leaves_parameter_gradients_zero() {
+        let cfg = ZooConfig::tiny();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for arch in Architecture::ALL {
+            let (_, test) = dataset_for(arch, &cfg, 7);
+            let (x, labels) = test.head(6);
+            for mode in [Mode::Frozen, Mode::Train] {
+                let mut full = build(arch, &cfg, &mut Rng::seed_from(3));
+                let mut input_only = build(arch, &cfg, &mut Rng::seed_from(3));
+                let grad = cross_entropy(&full.forward(&x, mode), &labels).grad_logits;
+                let reference = full.backward(&grad);
+                assert!(
+                    full.params().iter().any(|p| p.grad.max_abs() > 0.0),
+                    "{} {mode:?}: the full backward fills parameter gradients",
+                    arch.name()
+                );
+                input_only.forward(&x, mode);
+                let gin = input_only.backward_input(&grad);
+                assert_eq!(bits(&gin), bits(&reference), "{} {mode:?}", arch.name());
+                for p in input_only.params() {
+                    assert!(
+                        p.grad.data().iter().all(|g| g.to_bits() == 0),
+                        "{} {mode:?}: {} gradient touched",
+                        arch.name(),
+                        p.name
+                    );
+                }
+            }
+        }
+    }
+
     /// An `Eval` forward between a `Frozen` forward and its backward
     /// (e.g. an accuracy probe mid-gradient) must leave the gradient
     /// bit-identical to an uninterrupted forward/backward.

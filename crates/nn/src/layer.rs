@@ -74,6 +74,21 @@ pub trait Layer: Send {
     /// forward pass.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] without the parameter gradients: returns the
+    /// same input gradient, bit for bit, and leaves every parameter's
+    /// `grad` untouched. FGSM trigger learning reads only the input
+    /// gradient, so it skips the weight-gradient work.
+    ///
+    /// The default runs `backward`, which is exact for layers without
+    /// parameters; layers with parameters override it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward(grad_output)
+    }
+
     /// Immutable views of the layer's parameters, in deterministic order.
     fn params(&self) -> Vec<&Parameter>;
 
@@ -166,6 +181,24 @@ impl Sequential {
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
+
+    /// Runs `step` over the layers last to first, threading the gradient.
+    /// The last layer reads `grad_output` in place, as forward does.
+    fn backward_each(
+        &mut self,
+        grad_output: &Tensor,
+        mut step: impl FnMut(&mut dyn Layer, &Tensor) -> Tensor,
+    ) -> Tensor {
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return grad_output.clone();
+        };
+        let mut g = step(last.as_mut(), grad_output);
+        for layer in layers {
+            g = step(layer.as_mut(), &g);
+        }
+        g
+    }
 }
 
 impl Default for Sequential {
@@ -196,15 +229,11 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut layers = self.layers.iter_mut().rev();
-        let Some(last) = layers.next() else {
-            return grad_output.clone();
-        };
-        let mut g = last.backward(grad_output);
-        for layer in layers {
-            g = layer.backward(&g);
-        }
-        g
+        self.backward_each(grad_output, |layer, g| layer.backward(g))
+    }
+
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_each(grad_output, |layer, g| layer.backward_input(g))
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -241,6 +270,20 @@ impl Residual {
     pub fn new(main: Sequential, projection: Option<Sequential>) -> Self {
         Residual { main, projection }
     }
+
+    /// Runs `step` down both paths and sums their input gradients.
+    fn backward_each(
+        &mut self,
+        grad_output: &Tensor,
+        mut step: impl FnMut(&mut Sequential, &Tensor) -> Tensor,
+    ) -> Tensor {
+        let mut grad_input = step(&mut self.main, grad_output);
+        match &mut self.projection {
+            Some(projection) => grad_input.axpy(1.0, &step(projection, grad_output)),
+            None => grad_input.axpy(1.0, grad_output),
+        }
+        grad_input
+    }
 }
 
 impl Layer for Residual {
@@ -254,12 +297,11 @@ impl Layer for Residual {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut grad_input = self.main.backward(grad_output);
-        match &mut self.projection {
-            Some(projection) => grad_input.axpy(1.0, &projection.backward(grad_output)),
-            None => grad_input.axpy(1.0, grad_output),
-        }
-        grad_input
+        self.backward_each(grad_output, |path, g| path.backward(g))
+    }
+
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_each(grad_output, |path, g| path.backward_input(g))
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -299,6 +341,7 @@ mod tests {
     use crate::init::Rng;
     use crate::linear::Linear;
     use crate::norm::BatchNorm2d;
+    use crate::pool::{GlobalAvgPool, MaxPool2d};
 
     #[test]
     fn sequential_chains_shapes() {
@@ -465,6 +508,54 @@ mod tests {
             assert_eq!(bits(&y), bits(&y_hand), "{mode:?} output");
             assert_eq!(bits(&gin), bits(&gin_hand), "{mode:?} input gradient");
             assert_eq!(grads, grads_hand, "{mode:?} parameter gradients");
+        }
+    }
+
+    /// Every layer kind in one stack, identical on every call: a biased
+    /// conv, batch-norm, ReLU, max-pool, a projecting and an identity
+    /// residual block, global average pooling and a linear head.
+    fn every_layer_kind() -> Sequential {
+        let mut rng = Rng::seed_from(41);
+        let geom = ConvGeometry {
+            in_channels: 3,
+            out_channels: 4,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let mut net = Sequential::new();
+        net.push(Box::new(Conv2d::new(geom, true, &mut rng)));
+        net.push(Box::new(BatchNorm2d::new(4)));
+        net.push(Box::new(Relu::new()));
+        net.push(Box::new(MaxPool2d::new(2)));
+        for (in_ch, out_ch) in [(4, 5), (5, 5)] {
+            let (main, projection) = block(in_ch, out_ch, 1);
+            net.push(Box::new(Residual::new(main, projection)));
+        }
+        net.push(Box::new(GlobalAvgPool::new()));
+        net.push(Box::new(Linear::new(5, 3, true, &mut rng)));
+        net
+    }
+
+    #[test]
+    fn backward_input_matches_backward_and_leaves_parameter_gradients_zero() {
+        let x = random_tensor(&[2, 3, 6, 6], 42);
+        let g = random_tensor(&[2, 3], 43);
+        for mode in [Mode::Train, Mode::Frozen] {
+            let mut full = every_layer_kind();
+            full.forward_mode(&x, mode);
+            let reference = full.backward(&g);
+            let mut input_only = every_layer_kind();
+            input_only.forward_mode(&x, mode);
+            let gin = input_only.backward_input(&g);
+            assert_eq!(bits(&gin), bits(&reference), "{mode:?} input gradient");
+            for p in input_only.params() {
+                assert!(
+                    p.grad.data().iter().all(|v| v.to_bits() == 0),
+                    "{mode:?}: {} gradient touched",
+                    p.name
+                );
+            }
         }
     }
 

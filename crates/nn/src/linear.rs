@@ -167,6 +167,52 @@ impl Linear {
         }
         Tensor::from_vec(out, &[m, n])
     }
+
+    /// The one backward body behind [`Layer::backward`] and
+    /// [`Layer::backward_input`]: `dX` always, `dW`/`db` only when
+    /// `param_grads` is set.
+    fn backward_pass(&mut self, grad_output: &Tensor, param_grads: bool) -> Tensor {
+        let input = self
+            .cached_input
+            .take()
+            .expect("backward called without training-mode forward");
+        let batch = input.shape().dim(0);
+        if param_grads {
+            // dW = dY^T X  (shape [out, in])
+            let dw = self.scratch.dw.filled(self.out_features * self.in_features);
+            gemm::gemm_tn(
+                grad_output.data(),
+                input.data(),
+                dw,
+                self.out_features,
+                batch,
+                self.in_features,
+            );
+            for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(&*dw) {
+                *g += d;
+            }
+            if let Some(bias) = &mut self.bias {
+                let n = self.out_features;
+                for row in grad_output.data().chunks(n) {
+                    for (g, &r) in bias.grad.data_mut().iter_mut().zip(row) {
+                        *g += r;
+                    }
+                }
+            }
+        }
+        // dX = dY W  (shape [batch, in])
+        let wmat = self.weight.effective_into(&mut self.scratch.wmat);
+        let mut dx = vec![0.0f32; batch * self.in_features];
+        gemm::gemm(
+            grad_output.data(),
+            wmat,
+            &mut dx,
+            batch,
+            self.out_features,
+            self.in_features,
+        );
+        Tensor::from_vec(dx, &[batch, self.in_features])
+    }
 }
 
 impl Layer for Linear {
@@ -202,44 +248,11 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("backward called without training-mode forward");
-        let batch = input.shape().dim(0);
-        // dW = dY^T X  (shape [out, in])
-        let dw = self.scratch.dw.filled(self.out_features * self.in_features);
-        gemm::gemm_tn(
-            grad_output.data(),
-            input.data(),
-            dw,
-            self.out_features,
-            batch,
-            self.in_features,
-        );
-        for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(&*dw) {
-            *g += d;
-        }
-        if let Some(bias) = &mut self.bias {
-            let n = self.out_features;
-            for row in grad_output.data().chunks(n) {
-                for (g, &r) in bias.grad.data_mut().iter_mut().zip(row) {
-                    *g += r;
-                }
-            }
-        }
-        // dX = dY W  (shape [batch, in])
-        let wmat = self.weight.effective_into(&mut self.scratch.wmat);
-        let mut dx = vec![0.0f32; batch * self.in_features];
-        gemm::gemm(
-            grad_output.data(),
-            wmat,
-            &mut dx,
-            batch,
-            self.out_features,
-            self.in_features,
-        );
-        Tensor::from_vec(dx, &[batch, self.in_features])
+        self.backward_pass(grad_output, true)
+    }
+
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_pass(grad_output, false)
     }
 
     fn params(&self) -> Vec<&Parameter> {

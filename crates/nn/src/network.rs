@@ -24,6 +24,11 @@ pub trait Network: Send {
     /// and returning the gradient w.r.t. the input.
     fn backward(&mut self, grad_logits: &Tensor) -> Tensor;
 
+    /// [`Network::backward`] for the input gradient alone: returns the
+    /// same tensor, bit for bit, and leaves every parameter gradient
+    /// untouched (see [`Layer::backward_input`]).
+    fn backward_input(&mut self, grad_logits: &Tensor) -> Tensor;
+
     /// Immutable parameter views in deterministic (weight-file) order.
     fn params(&self) -> Vec<&Parameter>;
 
@@ -95,7 +100,8 @@ pub trait Network: Send {
 /// Each network pass records the pass-level telemetry once, here rather
 /// than per nested stack: `nn/seq_forward_s` and the `nn/forward_passes`
 /// counter for a forward, `nn/seq_backward_s` and `nn/backward_passes`
-/// for a backward.
+/// for a full backward, `nn/seq_backward_input_s` and
+/// `nn/backward_input_passes` for an input-only backward.
 #[derive(Debug)]
 pub struct SequentialNet {
     graph: Sequential,
@@ -110,27 +116,42 @@ impl SequentialNet {
             description: description.into(),
         }
     }
+
+    /// Runs one pass over the graph, recording its wall time under
+    /// `timer` and one count under `counter` when telemetry is on.
+    fn recorded(
+        &mut self,
+        timer: &str,
+        counter: &str,
+        pass: impl FnOnce(&mut Sequential) -> Tensor,
+    ) -> Tensor {
+        let t0 = rhb_telemetry::enabled().then(std::time::Instant::now);
+        let out = pass(&mut self.graph);
+        if let Some(t0) = t0 {
+            rhb_telemetry::observe_value(timer, t0.elapsed().as_secs_f64());
+            rhb_telemetry::add_counter(counter, 1);
+        }
+        out
+    }
 }
 
 impl Network for SequentialNet {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let t0 = rhb_telemetry::enabled().then(std::time::Instant::now);
-        let out = self.graph.forward_mode(input, mode);
-        if let Some(t0) = t0 {
-            rhb_telemetry::observe_value("nn/seq_forward_s", t0.elapsed().as_secs_f64());
-            rhb_telemetry::add_counter("nn/forward_passes", 1);
-        }
-        out
+        self.recorded("nn/seq_forward_s", "nn/forward_passes", |g| {
+            g.forward_mode(input, mode)
+        })
     }
 
     fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-        let t0 = rhb_telemetry::enabled().then(std::time::Instant::now);
-        let grad_input = self.graph.backward(grad_logits);
-        if let Some(t0) = t0 {
-            rhb_telemetry::observe_value("nn/seq_backward_s", t0.elapsed().as_secs_f64());
-            rhb_telemetry::add_counter("nn/backward_passes", 1);
-        }
-        grad_input
+        self.recorded("nn/seq_backward_s", "nn/backward_passes", |g| {
+            g.backward(grad_logits)
+        })
+    }
+
+    fn backward_input(&mut self, grad_logits: &Tensor) -> Tensor {
+        self.recorded("nn/seq_backward_input_s", "nn/backward_input_passes", |g| {
+            g.backward_input(grad_logits)
+        })
     }
 
     fn params(&self) -> Vec<&Parameter> {

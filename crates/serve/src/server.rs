@@ -282,6 +282,9 @@ mod tests {
         fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
             self.0.backward(grad_logits)
         }
+        fn backward_input(&mut self, grad_logits: &Tensor) -> Tensor {
+            self.0.backward_input(grad_logits)
+        }
         fn params(&self) -> Vec<&Parameter> {
             self.0.params()
         }
