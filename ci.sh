@@ -81,7 +81,7 @@ echo "== observability smoke (blocking) =="
 # (rhb-report watch --check exits non-zero otherwise). The driver must
 # also exit cleanly after the endpoint is torn down.
 RHB_OBS_ADDR=127.0.0.1:9184 RHB_TELEMETRY=off \
-  cargo run --release -p rhb-bench --bin exp_backdoor_online -- \
+  cargo run --release -p rhb-bench --bin exp -- backdoor_online \
   --runs 2 --min-seconds 8 &
 OBS_PID=$!
 sleep 4
@@ -98,7 +98,7 @@ echo "== chaos smoke + flight recorder gate (blocking) =="
 # and a final end-of-run snapshot → gateable.
 rm -rf results/timelines/ci-chaos
 RHB_OBS_RECORD=ci-chaos RHB_OBS_INTERVAL_MS=25 RHB_TELEMETRY=off \
-  cargo run --release -p rhb-bench --bin exp_chaos_sweep -- --rates 0.2 --assert-degraded
+  cargo run --release -p rhb-bench --bin exp -- chaos_sweep --rates 0.2 --assert-degraded
 cargo run --release -p rhb-bench --bin rhb-report -- timeline results/timelines/ci-chaos
 cargo run --release -p rhb-bench --bin rhb-report -- \
   postmortem results/timelines/ci-chaos --require-alert stall,recovery,downgrade
@@ -113,7 +113,7 @@ echo "== campaign kill-resume gate (blocking) =="
 # every run settled, zero duplicate run-ids, at least one recorded
 # retry. All three checks exit non-zero on violation.
 rm -rf results/campaigns/ci-kill results/campaigns/ci-kill-domains
-RHB_TELEMETRY=off cargo run --release -p rhb-bench --bin exp_campaign_kill
+RHB_TELEMETRY=off cargo run --release -p rhb-bench --bin exp -- campaign_kill
 cargo run --release -p rhb-bench --bin rhb-report -- \
   campaign results/campaigns/ci-kill \
   --require-complete --require-retried --forbid-duplicates
@@ -127,7 +127,7 @@ echo "== victim serving gate (blocking) =="
 # then audits the frozen trajectory: traffic must complete, the
 # backdoor must activate, and windowed ASR must cross the 90%
 # threshold after the flip window.
-RHB_TELEMETRY=off cargo run --release -p rhb-bench --bin exp_serve_attack -- \
+RHB_TELEMETRY=off cargo run --release -p rhb-bench --bin exp -- serve_attack \
   --seed 7 --out ci_serve.json
 cargo run --release -p rhb-bench --bin rhb-report -- serve ci_serve.json --check
 

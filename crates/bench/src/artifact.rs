@@ -8,13 +8,13 @@
 //! ledger. Artifacts are written to `results/runs/<timestamp>-<exp>.json`
 //! and consumed by the `rhb-report` CLI (`show`, `diff`, `bench`).
 //!
-//! Serialization is hand-rolled via [`crate::json`] because the vendored
+//! Serialization is hand-rolled via [`rhb_telemetry::json`] because the vendored
 //! `serde` derives are inert.
 
-use crate::json::{self, JsonValue};
 use rhb_core::pipeline::{AttackMethod, AttackPipeline};
 use rhb_core::provenance::FlipRecord;
 use rhb_models::zoo::{pretrained, Architecture, ZooConfig};
+use rhb_telemetry::json::{self, JsonValue};
 use rhb_telemetry::TelemetryReport;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -743,7 +743,7 @@ impl RunArtifact {
 
 fn quoted(s: &str) -> String {
     let mut out = String::new();
-    json::write_escaped(s, &mut out);
+    json::write_json_string(s, &mut out);
     out
 }
 

@@ -1,166 +1,186 @@
 //! Flight-recorder CLI: inspect, compare, and benchmark pipeline runs.
 //!
-//! ```text
-//! rhb-report show <run.json>                 # render one artifact
-//! rhb-report diff <baseline.json> <candidate.json>
-//!                                            # exit 1 on regression
-//! rhb-report bench [--out <path>]            # smoke run → results/runs/
-//!                                            #   + BENCH_2.json
-//! rhb-report bench-compute [--out <path>]    # compute-layer timings
-//!                                            #   → BENCH_4.json
-//! rhb-report diff-compute <baseline.json> <candidate.json>
-//!                                            # exit 1 when the serial
-//!                                            # wall time regressed >10 %
-//! rhb-report bench-int8 [--out <path>]       # int8-vs-f32 engine timings
-//!                                            #   → BENCH_6.json
-//! rhb-report diff-int8 <baseline.json> <candidate.json>
-//!                                            # exit 1 when serial int8
-//!                                            # eval/GEMM regressed >10 %,
-//!                                            # whole-model speedup <1.5x,
-//!                                            # or threads made eval slower
-//! rhb-report watch <host:port> [--once] [--check] [--interval-ms N]
-//!                                            # live terminal view of a
-//!                                            # running attack's
-//!                                            # RHB_OBS_ADDR endpoint
-//! rhb-report timeline <timeline-dir>         # replay a flight-recorder
-//!                                            # timeline: per-metric
-//!                                            # sparklines, phase
-//!                                            # boundaries, alert markers
-//! rhb-report postmortem <timeline-dir> [--last N] [--require-alert a,b]
-//!                                            # reconstruct the snapshots
-//!                                            # before the first anomaly
-//!                                            # and diff them against a
-//!                                            # healthy baseline window
-//! rhb-report serve <run.json> [--check]     # victim-serving view of an
-//!                                            # exp_serve_attack artifact:
-//!                                            # ASR / clean-accuracy
-//!                                            # trajectory sparklines,
-//!                                            # time-to-activation,
-//!                                            # tail-latency interference;
-//!                                            # --check exits 1 unless the
-//!                                            # backdoor activated and ASR
-//!                                            # crossed threshold
-//! rhb-report campaign <campaign-dir> [--require-complete]
-//!                     [--require-retried] [--forbid-duplicates]
-//!                                            # replay a campaign's
-//!                                            # checkpoint journal:
-//!                                            # classification roll-up,
-//!                                            # retry/quarantine audit;
-//!                                            # the --require/--forbid
-//!                                            # flags turn it into the
-//!                                            # kill-resume CI gate
-//! ```
+//! `rhb-report` with no arguments lists every subcommand and its
+//! arguments; [`COMMANDS`] drives both that list and dispatch.
 //!
-//! `diff` thresholds: phase time +15 %, ASR −1 pt, any flip-success drop
-//! (see `rhb_bench::diff::DiffConfig`). `diff-compute` blocks only on
-//! serial wall-time regressions; parallel speedup below target is
-//! reported but non-blocking (see `rhb_bench::compute`). Timeline
-//! directories are what `RHB_OBS_RECORD=<run-id>` writes under
-//! `results/timelines/`. `postmortem --require-alert` takes
-//! comma-separated substrings and exits 1 unless at least one fired
-//! alert's rule name matches one of them (the CI chaos gate). Exit
-//! codes: 0 ok, 1 regression / required alert missing, 2 usage or I/O
-//! error.
+//! * `show` renders one run artifact; `diff` compares two and exits 1 on
+//!   a regression (phase time +15 %, ASR −1 pt, any flip-success drop;
+//!   see `rhb_bench::diff::DiffConfig`).
+//! * `bench`, `bench-compute` and `bench-int8` record the smoke run, the
+//!   compute-layer timings and the int8-vs-f32 engine timings (default
+//!   outputs `BENCH_2.json`, `BENCH_4.json`, `BENCH_6.json`).
+//!   `diff-compute` blocks only on serial wall-time regressions >10 %
+//!   (parallel speedup below target is reported, not blocking; see
+//!   `rhb_bench::compute`); `diff-int8` blocks on a serial int8 eval or
+//!   GEMM regression >10 %, a whole-model speedup <1.5x, or threads
+//!   making eval slower.
+//! * `watch` is a live terminal view of a running attack's
+//!   `RHB_OBS_ADDR` endpoint; `--check` also validates `/metrics`.
+//! * `timeline` replays a flight-recorder timeline (what
+//!   `RHB_OBS_RECORD=<run-id>` writes under `results/timelines/`) as
+//!   sparklines, phase boundaries and alert markers; `postmortem`
+//!   diffs the snapshots before the first anomaly against a healthy
+//!   baseline window, and `--require-alert` exits 1 unless a fired
+//!   alert's rule name contains one of its substrings (the CI chaos
+//!   gate).
+//! * `serve` renders the serving block of an `exp serve_attack`
+//!   artifact; `--check` exits 1 unless the backdoor activated and the
+//!   windowed ASR crossed the threshold.
+//! * `campaign` replays a campaign's checkpoint journal; the
+//!   `--require-*` / `--forbid-duplicates` flags turn it into the
+//!   kill-resume CI gate.
+//!
+//! Exit codes: 0 ok, 1 regression / required check failed, 2 usage or
+//! I/O error.
 
 use rhb_bench::artifact::{smoke_run, RunArtifact};
 use rhb_bench::compute;
 use rhb_bench::diff::{diff, DiffConfig};
+use rhb_bench::flags::{self, Flags, Spec, UsageError};
 use rhb_bench::int8bench;
-use rhb_bench::json;
 use rhb_bench::timeline::{sparkline, Timeline};
+use rhb_telemetry::json;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
-const USAGE: &str = "usage: rhb-report <show <run.json> | diff <baseline.json> <candidate.json> | bench [--out <path>] | bench-compute [--out <path>] | diff-compute <baseline.json> <candidate.json> | bench-int8 [--out <path>] | diff-int8 <baseline.json> <candidate.json> | watch <host:port> [--once] [--check] [--interval-ms N] | timeline <timeline-dir> | postmortem <timeline-dir> [--last N] [--require-alert substr[,substr...]] | serve <run.json> [--check] | campaign <campaign-dir> [--require-complete] [--require-retried] [--forbid-duplicates]>";
+/// A subcommand: reads its flags (a [`UsageError`] exits 2 before any
+/// work), then runs.
+type Handler = fn(&Flags) -> Result<ExitCode, UsageError>;
+
+const RUN_FILE: Spec = Spec {
+    positionals: &["<run.json>"],
+    ..Spec::NONE
+};
+const PAIR: Spec = Spec {
+    positionals: &["<baseline.json>", "<candidate.json>"],
+    ..Spec::NONE
+};
+const OUT: Spec = Spec {
+    valued: &[("--out", "<path>")],
+    ..Spec::NONE
+};
+
+/// Every subcommand: dispatch and the usage text both read this table.
+const COMMANDS: &[(&str, Spec, Handler)] = &[
+    ("show", RUN_FILE, |f| Ok(show(Path::new(f.positional(0))))),
+    ("diff", PAIR, |f| {
+        Ok(run_diff(
+            Path::new(f.positional(0)),
+            Path::new(f.positional(1)),
+        ))
+    }),
+    ("bench", OUT, |f| {
+        Ok(bench(Path::new(f.raw("--out").unwrap_or("BENCH_2.json"))))
+    }),
+    ("bench-compute", OUT, |f| {
+        Ok(bench_compute(Path::new(
+            f.raw("--out").unwrap_or("BENCH_4.json"),
+        )))
+    }),
+    ("diff-compute", PAIR, |f| {
+        Ok(diff_compute(
+            Path::new(f.positional(0)),
+            Path::new(f.positional(1)),
+        ))
+    }),
+    ("bench-int8", OUT, |f| {
+        Ok(bench_int8(Path::new(
+            f.raw("--out").unwrap_or("BENCH_6.json"),
+        )))
+    }),
+    ("diff-int8", PAIR, |f| {
+        Ok(diff_int8(
+            Path::new(f.positional(0)),
+            Path::new(f.positional(1)),
+        ))
+    }),
+    (
+        "watch",
+        Spec {
+            positionals: &["<host:port>"],
+            switches: &["--once", "--check"],
+            valued: &[("--interval-ms", "N")],
+        },
+        watch,
+    ),
+    (
+        "timeline",
+        Spec {
+            positionals: &["<timeline-dir>"],
+            ..Spec::NONE
+        },
+        |f| Ok(timeline_cmd(Path::new(f.positional(0)))),
+    ),
+    (
+        "postmortem",
+        Spec {
+            positionals: &["<timeline-dir>"],
+            valued: &[("--last", "N"), ("--require-alert", "substr[,substr...]")],
+            ..Spec::NONE
+        },
+        |f| {
+            let last = f.get("--last", flags::positive())?.unwrap_or(5);
+            let require_alert: Vec<String> =
+                f.list("--require-alert", flags::any())?.unwrap_or_default();
+            Ok(postmortem_cmd(
+                Path::new(f.positional(0)),
+                last,
+                &require_alert,
+            ))
+        },
+    ),
+    (
+        "serve",
+        Spec {
+            positionals: &["<run.json>"],
+            switches: &["--check"],
+            ..Spec::NONE
+        },
+        |f| Ok(serve_cmd(Path::new(f.positional(0)), f.switch("--check"))),
+    ),
+    (
+        "campaign",
+        Spec {
+            positionals: &["<campaign-dir>"],
+            switches: &[
+                "--require-complete",
+                "--require-retried",
+                "--forbid-duplicates",
+            ],
+            ..Spec::NONE
+        },
+        |f| {
+            Ok(campaign_cmd(
+                Path::new(f.positional(0)),
+                f.switch("--require-complete"),
+                f.switch("--require-retried"),
+                f.switch("--forbid-duplicates"),
+            ))
+        },
+    ),
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("show") => match args.get(1) {
-            Some(path) => show(Path::new(path)),
-            None => usage_error("show needs a run file"),
-        },
-        Some("diff") => match (args.get(1), args.get(2)) {
-            (Some(base), Some(cand)) => run_diff(Path::new(base), Path::new(cand)),
-            _ => usage_error("diff needs a baseline and a candidate"),
-        },
-        Some("bench") => match parse_out(&args, "BENCH_2.json") {
-            Ok(out) => bench(Path::new(&out)),
-            Err(code) => code,
-        },
-        Some("bench-compute") => match parse_out(&args, "BENCH_4.json") {
-            Ok(out) => bench_compute(Path::new(&out)),
-            Err(code) => code,
-        },
-        Some("diff-compute") => match (args.get(1), args.get(2)) {
-            (Some(base), Some(cand)) => diff_compute(Path::new(base), Path::new(cand)),
-            _ => usage_error("diff-compute needs a baseline and a candidate"),
-        },
-        Some("bench-int8") => match parse_out(&args, "BENCH_6.json") {
-            Ok(out) => bench_int8(Path::new(&out)),
-            Err(code) => code,
-        },
-        Some("diff-int8") => match (args.get(1), args.get(2)) {
-            (Some(base), Some(cand)) => diff_int8(Path::new(base), Path::new(cand)),
-            _ => usage_error("diff-int8 needs a baseline and a candidate"),
-        },
-        Some("watch") => match args.get(1) {
-            Some(addr) => match WatchOpts::parse(&args[2..]) {
-                Ok(opts) => watch(addr, &opts),
-                Err(code) => code,
-            },
-            None => usage_error("watch needs the endpoint address (host:port)"),
-        },
-        Some("timeline") => match args.get(1) {
-            Some(dir) => timeline_cmd(Path::new(dir)),
-            None => usage_error("timeline needs a timeline directory"),
-        },
-        Some("postmortem") => match args.get(1) {
-            Some(dir) => match PostmortemOpts::parse(&args[2..]) {
-                Ok(opts) => postmortem_cmd(Path::new(dir), &opts),
-                Err(code) => code,
-            },
-            None => usage_error("postmortem needs a timeline directory"),
-        },
-        Some("serve") => match args.get(1) {
-            Some(path) => {
-                let mut check = false;
-                for flag in &args[2..] {
-                    match flag.as_str() {
-                        "--check" => check = true,
-                        other => return usage_error(&format!("unknown serve flag '{other}'")),
-                    }
-                }
-                serve_cmd(Path::new(path), check)
-            }
-            None => usage_error("serve needs a run file"),
-        },
-        Some("campaign") => match args.get(1) {
-            Some(dir) => match CampaignOpts::parse(&args[2..]) {
-                Ok(opts) => campaign_cmd(Path::new(dir), &opts),
-                Err(code) => code,
-            },
-            None => usage_error("campaign needs a campaign directory"),
-        },
-        Some(other) => usage_error(&format!("unknown subcommand '{other}'")),
-        None => usage_error("missing subcommand"),
-    }
-}
-
-fn parse_out(args: &[String], default: &str) -> Result<String, ExitCode> {
-    match args.get(1).map(String::as_str) {
-        Some("--out") => match args.get(2) {
-            Some(p) => Ok(p.clone()),
-            None => Err(usage_error("--out needs a path")),
-        },
-        Some(other) => Err(usage_error(&format!("unknown bench flag '{other}'"))),
-        None => Ok(default.to_string()),
+    let Some((name, rest)) = args.split_first() else {
+        return usage_error("missing subcommand");
+    };
+    let Some((_, spec, handler)) = COMMANDS.iter().find(|(n, _, _)| n == name) else {
+        return usage_error(&format!("unknown subcommand '{name}'"));
+    };
+    match spec.parse(rest).and_then(|f| handler(&f)) {
+        Ok(code) => code,
+        Err(e) => usage_error(&format!("{name}: {e}")),
     }
 }
 
 fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("rhb-report: {msg}\n{USAGE}");
+    let mut usage = String::from("usage: rhb-report <command>\n");
+    for (name, spec, _) in COMMANDS {
+        usage.push_str(&format!("  {name}{}\n", spec.synopsis()));
+    }
+    eprint!("rhb-report: {msg}\n{usage}");
     ExitCode::from(2)
 }
 
@@ -296,9 +316,9 @@ fn run_diff(base_path: &Path, cand_path: &Path) -> ExitCode {
 }
 
 fn bench(out: &Path) -> ExitCode {
-    rhb_bench::telemetry::init();
+    let mode = rhb_bench::telemetry::init();
     let artifact = smoke_run("smoke", 41);
-    rhb_bench::telemetry::finish();
+    rhb_bench::telemetry::finish(mode);
     match artifact.save(Path::new("results/runs")) {
         Ok(path) => eprintln!("rhb-report: artifact written to {}", path.display()),
         Err(e) => {
@@ -418,51 +438,27 @@ fn diff_compute(base_path: &Path, cand_path: &Path) -> ExitCode {
 
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
 
-struct WatchOpts {
-    /// Render one frame and exit instead of refreshing forever.
-    once: bool,
-    /// Also scrape /metrics and validate the exposition + required
-    /// metric families and status keys (the CI smoke gate).
-    check: bool,
-    interval: Duration,
-}
-
-impl WatchOpts {
-    fn parse(args: &[String]) -> Result<WatchOpts, ExitCode> {
-        let mut opts = WatchOpts {
-            once: false,
-            check: false,
-            interval: Duration::from_millis(1000),
-        };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--once" => opts.once = true,
-                "--check" => opts.check = true,
-                "--interval-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                    Some(ms) => opts.interval = Duration::from_millis(ms.max(50)),
-                    None => return Err(usage_error("--interval-ms needs a number")),
-                },
-                other => return Err(usage_error(&format!("unknown watch flag '{other}'"))),
-            }
-        }
-        Ok(opts)
-    }
-}
-
-fn watch(addr: &str, opts: &WatchOpts) -> ExitCode {
+/// Polls the endpoint and renders frames: `--once` renders one and
+/// exits, `--check` also validates /metrics (the CI smoke gate), and
+/// `--interval-ms` sets the refresh period (at least 50 ms).
+fn watch(f: &Flags) -> Result<ExitCode, UsageError> {
+    let addr = f.positional(0);
+    let once = f.switch("--once");
+    let check = f.switch("--check");
+    let interval_ms: u64 = f.get("--interval-ms", flags::any())?.unwrap_or(1000);
+    let interval = Duration::from_millis(interval_ms.max(50));
     let mut first = true;
     loop {
-        let frame = match watch_frame(addr, opts.check) {
+        let frame = match watch_frame(addr, check) {
             Ok(frame) => frame,
             Err(msg) => {
                 eprintln!("rhb-report: {addr}: {msg}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
-        if opts.once {
+        if once {
             print!("{frame}");
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
         if !first {
             // ANSI clear screen + home for the refreshing dashboard.
@@ -472,7 +468,7 @@ fn watch(addr: &str, opts: &WatchOpts) -> ExitCode {
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
         first = false;
-        std::thread::sleep(opts.interval);
+        std::thread::sleep(interval);
     }
 }
 
@@ -764,49 +760,15 @@ fn render_timeline(t: &Timeline) -> String {
     out
 }
 
-struct PostmortemOpts {
-    /// Window width N: the last N snapshots before the anomaly.
-    last: usize,
-    /// Comma-separated substrings; at least one fired alert's rule name
-    /// must contain one of them or the command exits 1.
-    require_alert: Vec<String>,
-}
-
-impl PostmortemOpts {
-    fn parse(args: &[String]) -> Result<PostmortemOpts, ExitCode> {
-        let mut opts = PostmortemOpts {
-            last: 5,
-            require_alert: Vec::new(),
-        };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--last" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => opts.last = n,
-                    _ => return Err(usage_error("--last needs a positive number")),
-                },
-                "--require-alert" => match it.next() {
-                    Some(list) => opts.require_alert.extend(
-                        list.split(',')
-                            .map(str::trim)
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string),
-                    ),
-                    None => return Err(usage_error("--require-alert needs substrings")),
-                },
-                other => return Err(usage_error(&format!("unknown postmortem flag '{other}'"))),
-            }
-        }
-        Ok(opts)
-    }
-}
-
-fn postmortem_cmd(dir: &Path, opts: &PostmortemOpts) -> ExitCode {
+/// Reconstructs the `last` snapshots before the first anomaly and diffs
+/// them against a healthy baseline window. With `require_alert`, exit 1
+/// unless a fired alert's rule name contains one of its substrings.
+fn postmortem_cmd(dir: &Path, last: usize, require_alert: &[String]) -> ExitCode {
     let t = match load_timeline(dir) {
         Ok(t) => t,
         Err(code) => return code,
     };
-    let Some(pm) = t.postmortem(opts.last) else {
+    let Some(pm) = t.postmortem(last) else {
         eprintln!("rhb-report: {}: timeline holds no snapshots", dir.display());
         return ExitCode::from(2);
     };
@@ -877,30 +839,27 @@ fn postmortem_cmd(dir: &Path, opts: &PostmortemOpts) -> ExitCode {
         }
     }
     print!("{out}");
-    if !opts.require_alert.is_empty() {
+    if !require_alert.is_empty() {
         let matched = fired.iter().any(|a| {
-            opts.require_alert
+            require_alert
                 .iter()
                 .any(|needle| a.rule.contains(needle.as_str()))
         });
         if !matched {
             eprintln!(
                 "rhb-report: no fired alert matched --require-alert {}",
-                opts.require_alert.join(",")
+                require_alert.join(",")
             );
             return ExitCode::FAILURE;
         }
-        println!(
-            "  required alert present ({})",
-            opts.require_alert.join(",")
-        );
+        println!("  required alert present ({})", require_alert.join(","));
     }
     ExitCode::SUCCESS
 }
 
 // --- serve ------------------------------------------------------------------
 
-/// Renders the victim-serving block of an `exp_serve_attack` artifact:
+/// Renders the victim-serving block of an `exp serve_attack` artifact:
 /// trajectory sparklines across observation windows, time-to-activation,
 /// and the tail-latency interference the hammering threads caused.
 /// `--check` is the CI gate: exit 1 unless the run actually served
@@ -913,7 +872,7 @@ fn serve_cmd(path: &Path, check: bool) -> ExitCode {
     };
     let Some(s) = &a.serve else {
         eprintln!(
-            "rhb-report: {}: artifact has no serve block (not an exp_serve_attack run?)",
+            "rhb-report: {}: artifact has no serve block (not an exp serve_attack run?)",
             path.display()
         );
         return ExitCode::from(2);
@@ -1014,32 +973,15 @@ fn render_serve(exp: &str, s: &rhb_bench::artifact::ServeSummary) -> String {
 
 // --- campaign ---------------------------------------------------------------
 
-#[derive(Default)]
-struct CampaignOpts {
-    require_complete: bool,
-    require_retried: bool,
-    forbid_duplicates: bool,
-}
-
-impl CampaignOpts {
-    fn parse(rest: &[String]) -> Result<CampaignOpts, ExitCode> {
-        let mut opts = CampaignOpts::default();
-        for arg in rest {
-            match arg.as_str() {
-                "--require-complete" => opts.require_complete = true,
-                "--require-retried" => opts.require_retried = true,
-                "--forbid-duplicates" => opts.forbid_duplicates = true,
-                other => return Err(usage_error(&format!("campaign: unknown flag '{other}'"))),
-            }
-        }
-        Ok(opts)
-    }
-}
-
 /// Replays a campaign's checkpoint journal and prints the aggregate:
 /// classification roll-up, retry and quarantine audit, journal health.
 /// The `--require-*` / `--forbid-*` flags make it a blocking gate.
-fn campaign_cmd(dir: &Path, opts: &CampaignOpts) -> ExitCode {
+fn campaign_cmd(
+    dir: &Path,
+    require_complete: bool,
+    require_retried: bool,
+    forbid_duplicates: bool,
+) -> ExitCode {
     let store = match rhb_campaign::CampaignStore::load(dir) {
         Ok(store) => store,
         Err(e) => {
@@ -1097,7 +1039,7 @@ fn campaign_cmd(dir: &Path, opts: &CampaignOpts) -> ExitCode {
     print!("{out}");
 
     let mut ok = true;
-    if opts.require_complete && !store.is_complete() {
+    if require_complete && !store.is_complete() {
         eprintln!(
             "rhb-report: campaign incomplete: {}/{} settled",
             c.settled(),
@@ -1105,11 +1047,11 @@ fn campaign_cmd(dir: &Path, opts: &CampaignOpts) -> ExitCode {
         );
         ok = false;
     }
-    if opts.require_retried && store.retried < 1 {
+    if require_retried && store.retried < 1 {
         eprintln!("rhb-report: no retried run recorded (--require-retried)");
         ok = false;
     }
-    if opts.forbid_duplicates && store.duplicate_done > 0 {
+    if forbid_duplicates && store.duplicate_done > 0 {
         eprintln!(
             "rhb-report: {} duplicate done lines (--forbid-duplicates)",
             store.duplicate_done

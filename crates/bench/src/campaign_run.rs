@@ -36,8 +36,10 @@ pub fn campaign_dir(name: &str) -> PathBuf {
     PathBuf::from(CAMPAIGN_ROOT).join(rhb_campaign::spec::sanitize(name))
 }
 
-/// Chaos configuration at a sweep rate (the `exp_chaos_sweep` scaling:
-/// flip flakiness at the rate itself, the other fault kinds derated).
+/// Chaos configuration at a sweep rate, shared by `exp chaos_sweep` and
+/// campaigns: flip flakiness at the rate itself, row eviction at a
+/// quarter, ECC masking at half, and templating false positives and
+/// negatives at a twentieth each. `None` at a zero rate.
 pub fn chaos_at(rate: f64, seed: u64) -> Option<ChaosConfig> {
     if rate <= 0.0 {
         return None;
@@ -110,21 +112,27 @@ fn execute(
     })
 }
 
-/// Parses a comma-separated list, trimming blanks.
-fn split_list(raw: &str) -> Vec<String> {
-    raw.split(',')
+/// Parses the comma-separated list given to `flag`, trimming blanks.
+fn split_list(flag: &str, raw: &str) -> Result<Vec<String>, String> {
+    let items: Vec<String> = raw
+        .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
         .map(str::to_string)
-        .collect()
+        .collect();
+    if items.is_empty() {
+        return Err(format!("{flag}: needs at least one entry"));
+    }
+    Ok(items)
 }
 
-/// Builds a campaign grid from driver CLI fragments, validating every
-/// axis value upfront so a typo fails the launch, not run 37.
+/// Builds a campaign grid from the `exp campaign` flag values,
+/// validating every axis value upfront so a typo fails the launch, not
+/// run 37.
 ///
 /// # Errors
 ///
-/// A human-readable message naming the bad axis value.
+/// A human-readable message naming the flag and the bad axis value.
 pub fn parse_grid(
     name: &str,
     models: &str,
@@ -133,43 +141,42 @@ pub fn parse_grid(
     rates: &str,
     seeds: &str,
 ) -> Result<CampaignSpec, String> {
-    let models = split_list(models);
+    let models = split_list("--models", models)?;
     for m in &models {
-        Architecture::from_name(m).ok_or_else(|| format!("unknown model '{m}'"))?;
+        Architecture::from_name(m).ok_or_else(|| format!("--models: unknown model '{m}'"))?;
     }
-    let methods = split_list(methods);
+    let methods = split_list("--methods", methods)?;
     for m in &methods {
-        AttackMethod::from_name(m).ok_or_else(|| format!("unknown method '{m}'"))?;
+        AttackMethod::from_name(m).ok_or_else(|| format!("--methods: unknown method '{m}'"))?;
     }
-    let chips = split_list(chips);
+    let chips = split_list("--chips", chips)?;
     for c in &chips {
-        ChipModel::by_tag(c).ok_or_else(|| format!("unknown chip tag '{c}'"))?;
+        ChipModel::by_tag(c).ok_or_else(|| format!("--chips: unknown chip tag '{c}'"))?;
     }
-    let chaos_rates = split_list(rates)
+    let chaos_rates = split_list("--rates", rates)?
         .iter()
         .map(|r| {
             r.parse::<f64>()
                 .ok()
                 .filter(|v| (0.0..=1.0).contains(v))
-                .ok_or_else(|| format!("bad chaos rate '{r}' (want 0..=1)"))
+                .ok_or_else(|| format!("--rates: bad chaos rate '{r}' (want 0..=1)"))
         })
         .collect::<Result<Vec<f64>, String>>()?;
-    let seeds = split_list(seeds)
+    let seeds = split_list("--seeds", seeds)?
         .iter()
-        .map(|s| s.parse::<u64>().map_err(|_| format!("bad seed '{s}'")))
+        .map(|s| {
+            s.parse::<u64>()
+                .map_err(|_| format!("--seeds: bad seed '{s}'"))
+        })
         .collect::<Result<Vec<u64>, String>>()?;
-    let spec = CampaignSpec {
+    Ok(CampaignSpec {
         name: name.to_string(),
         models,
         methods,
         chips,
         chaos_rates,
         seeds,
-    };
-    if spec.is_empty() {
-        return Err("empty campaign grid: every axis needs at least one value".into());
-    }
-    Ok(spec)
+    })
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 //! physically possible; the committed baseline documents what the host
 //! that produced it measured.
 
-use crate::json::{self, JsonValue};
 use rhb_core::cft::{self, CftConfig};
 use rhb_core::trigger::{Trigger, TriggerMask};
 use rhb_models::data::Dataset;
@@ -18,6 +17,7 @@ use rhb_nn::init::Rng;
 use rhb_nn::layer::Mode;
 use rhb_nn::loss::cross_entropy;
 use rhb_nn::optim::{Sgd, SgdConfig};
+use rhb_telemetry::json::{self, JsonValue};
 use std::time::Instant;
 
 /// One timed scenario at one thread count.

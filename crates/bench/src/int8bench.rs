@@ -25,11 +25,11 @@
 //! exactly that reason.
 
 use crate::compute::SERIAL_BUDGET;
-use crate::json::{self, JsonValue};
 use rhb_models::train::evaluate_mode;
 use rhb_models::zoo::{build, dataset_for, Architecture, ZooConfig};
 use rhb_nn::init::Rng;
 use rhb_nn::layer::Mode;
+use rhb_telemetry::json::{self, JsonValue};
 use std::time::Instant;
 
 /// Blocking floor on the whole-model serial int8-over-f32 eval speedup.

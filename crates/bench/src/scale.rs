@@ -14,7 +14,7 @@ pub enum Scale {
 
 impl Scale {
     /// Reads `RHB_SCALE` from the environment (`tiny` / `standard`),
-    /// defaulting to [`Scale::Tiny`] so `cargo bench` finishes on a CPU
+    /// defaulting to [`Scale::Tiny`] so every experiment finishes on a CPU
     /// budget; set `RHB_SCALE=standard` for the full-fidelity run.
     pub fn from_env() -> Self {
         match std::env::var("RHB_SCALE").as_deref() {

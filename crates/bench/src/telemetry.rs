@@ -1,4 +1,5 @@
-//! Env-driven telemetry harness shared by every `exp_*` binary.
+//! Env-driven telemetry harness shared by the `exp` and `rhb-report`
+//! commands.
 //!
 //! * `RHB_TELEMETRY=progress|jsonl|trace|off` — sink selection (default
 //!   `progress`: human-readable span/message stream on stderr, so the
@@ -22,12 +23,12 @@
 //! * `RHB_ALERT_RULES` — extra alert rules on top of the built-ins, in
 //!   the `rhb_alert::parse_rules` DSL.
 //!
-//! Binaries call [`init`] first and [`finish`] last:
+//! Commands call [`init`] first and hand its mode to [`finish`] last:
 //!
 //! ```no_run
-//! rhb_bench::telemetry::init();
+//! let mode = rhb_bench::telemetry::init();
 //! // ... run the experiment ...
-//! rhb_bench::telemetry::finish();
+//! rhb_bench::telemetry::finish(mode);
 //! ```
 
 use std::sync::Arc;
@@ -157,9 +158,11 @@ fn start_obs(installed: TelemetryMode) {
 }
 
 /// Flushes the sink, prints the end-of-run telemetry report to stderr
-/// (unless suppressed via `RHB_TELEMETRY_REPORT=0` or nothing was
-/// recorded), and disables collection.
-pub fn finish() {
+/// (unless `mode` is off or `RHB_TELEMETRY_REPORT=0`), and disables
+/// collection. `mode` is what
+/// [`init`] returned: a run may install a no-op sink of its own to fill
+/// an artifact, and that must not make `RHB_TELEMETRY=off` print.
+pub fn finish(mode: TelemetryMode) {
     // Stop the plane before tearing telemetry down: shutdown joins the
     // listener and sampler threads (recording one final end-of-run
     // snapshot), so no scrape can observe a half-reset registry.
@@ -169,15 +172,20 @@ pub fn finish() {
     if !rhb_telemetry::enabled() {
         return;
     }
-    let report = rhb_telemetry::report();
-    let wants_report = !matches!(
-        std::env::var("RHB_TELEMETRY_REPORT").as_deref(),
-        Ok("0") | Ok("off")
-    );
-    if wants_report && !report.is_empty() {
-        eprint!("{}", report.render());
+    let report_env = std::env::var("RHB_TELEMETRY_REPORT").ok();
+    if prints_report(mode, report_env.as_deref()) {
+        let report = rhb_telemetry::report();
+        if !report.is_empty() {
+            eprint!("{}", report.render());
+        }
     }
     rhb_telemetry::shutdown();
+}
+
+/// Whether [`finish`] prints the end-of-run report: never in off mode,
+/// and not when `RHB_TELEMETRY_REPORT` is `0` or `off`.
+fn prints_report(mode: TelemetryMode, report_env: Option<&str>) -> bool {
+    mode != TelemetryMode::Off && !matches!(report_env, Some("0") | Some("off"))
 }
 
 #[cfg(test)]
@@ -189,7 +197,24 @@ mod tests {
     // (finish on a disabled registry must be a no-op).
     #[test]
     fn finish_without_init_is_a_noop() {
-        finish();
+        finish(TelemetryMode::Off);
         assert!(!rhb_telemetry::enabled());
+    }
+
+    #[test]
+    fn off_mode_never_prints_the_report() {
+        for env in [None, Some("1"), Some("0")] {
+            assert!(!prints_report(TelemetryMode::Off, env));
+        }
+        for mode in [
+            TelemetryMode::Progress,
+            TelemetryMode::Jsonl,
+            TelemetryMode::Trace,
+        ] {
+            assert!(prints_report(mode, None));
+            assert!(prints_report(mode, Some("1")));
+            assert!(!prints_report(mode, Some("0")));
+            assert!(!prints_report(mode, Some("off")));
+        }
     }
 }

@@ -16,7 +16,7 @@
 //! leading into it, and a healthy-baseline diff ranking which rates
 //! collapsed or spiked going into the anomaly.
 
-use crate::json::{self, JsonValue};
+use rhb_telemetry::json::{self, JsonValue};
 use std::collections::BTreeMap;
 use std::path::Path;
 

@@ -1,6 +1,6 @@
 //! End-to-end flight-recorder coverage: the smoke pipeline under a
 //! [`rhb_telemetry::TraceSink`] must produce a well-formed Chrome trace
-//! and a provenance-complete artifact, the `exp_*` binaries must honour
+//! and a provenance-complete artifact, the `exp` command must honour
 //! `RHB_TELEMETRY=trace`, and the `rhb-report` CLI must turn artifact
 //! diffs into exit codes.
 //!
@@ -10,8 +10,8 @@
 //! threads and the registry is shared.
 
 use rhb_bench::artifact::RunArtifact;
-use rhb_bench::json::{self, JsonValue};
 use rhb_bench::report::PIPELINE_PHASES;
+use rhb_telemetry::json::{self, JsonValue};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::Command;
@@ -138,17 +138,18 @@ fn smoke_trace_is_wellformed_and_ledger_matches_counter() {
     let _ = std::fs::remove_file(&trace_path);
 }
 
-/// `RHB_TELEMETRY=trace` on an experiment binary writes a loadable trace.
+/// `RHB_TELEMETRY=trace` on an experiment writes a loadable trace.
 #[test]
 fn exp_binary_trace_mode_writes_parseable_trace() {
     let trace_path = temp_path("fig12_trace.json");
-    let output = Command::new(env!("CARGO_BIN_EXE_exp_fig12"))
+    let output = Command::new(env!("CARGO_BIN_EXE_exp"))
+        .arg("fig12")
         .env("RHB_TELEMETRY", "trace")
         .env("RHB_TRACE", &trace_path)
         .env("RHB_TELEMETRY_REPORT", "0")
         .output()
-        .expect("spawn exp_fig12");
-    assert!(output.status.success(), "exp_fig12 failed: {output:?}");
+        .expect("spawn exp fig12");
+    assert!(output.status.success(), "exp fig12 failed: {output:?}");
     let text = std::fs::read_to_string(&trace_path).expect("read trace file");
     let doc = json::parse(&text).expect("exp trace parses as JSON");
     validate_trace(&doc);
@@ -158,14 +159,15 @@ fn exp_binary_trace_mode_writes_parseable_trace() {
 /// Unknown `RHB_TELEMETRY` values warn on stderr and list the valid modes.
 #[test]
 fn unknown_telemetry_mode_warns_on_stderr() {
-    let output = Command::new(env!("CARGO_BIN_EXE_exp_attack_time"))
+    let output = Command::new(env!("CARGO_BIN_EXE_exp"))
+        .arg("attack_time")
         .env("RHB_TELEMETRY", "bogus")
         .env("RHB_TELEMETRY_REPORT", "0")
         .output()
-        .expect("spawn exp_attack_time");
+        .expect("spawn exp attack_time");
     assert!(
         output.status.success(),
-        "exp_attack_time failed: {output:?}"
+        "exp attack_time failed: {output:?}"
     );
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(

@@ -4,7 +4,7 @@
 //! every baseline's clustered flips mostly miss and its online ASR
 //! collapses.
 //!
-//! `exp_table2` regenerates the full grid; EXPERIMENTS.md lists the
+//! `exp table2` regenerates the full grid; EXPERIMENTS.md lists the
 //! measured row.
 
 use rhb_bench::experiments::{table2_cell, Table2Row};

@@ -12,6 +12,7 @@
 //! shared.
 
 use proptest::prelude::*;
+use rhb_bench::campaign_run::chaos_at;
 use rhb_bench::timeline::Timeline;
 use rhb_telemetry::Recorder;
 use std::io::Write as _;
@@ -118,24 +119,12 @@ proptest! {
     }
 }
 
-/// The chaos mix `exp_chaos_sweep` injects at a given rate.
-fn chaos_at(rate: f64, seed: u64) -> rhb_dram::ChaosConfig {
-    rhb_dram::ChaosConfig {
-        flip_flakiness: rate,
-        eviction: rate / 4.0,
-        ecc_correction: rate / 2.0,
-        template_false_positive: rate / 20.0,
-        template_false_negative: rate / 20.0,
-        ..rhb_dram::ChaosConfig::seeded(seed)
-    }
-}
-
 /// Fixed pipeline seed + fixed chaos schedule must freeze the exact same
 /// alerts (rules, triggering values, sequence numbers) into the artifact
 /// on every run — the determinism contract the CI gate relies on.
 #[test]
 fn chaos_alerts_are_deterministic_across_identical_runs() {
-    let run = || rhb_bench::artifact::smoke_run_with_chaos("det", 41, Some(chaos_at(0.4, 12)));
+    let run = || rhb_bench::artifact::smoke_run_with_chaos("det", 41, chaos_at(0.4, 12));
     let a = run();
     let b = run();
     assert!(

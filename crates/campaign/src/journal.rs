@@ -22,6 +22,7 @@
 //!   in-flight attempt the crash interrupted — the run stays pending
 //!   and is re-executed on resume.
 
+use rhb_telemetry::json::{self, write_json_string, JsonValue};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -33,8 +34,8 @@ pub const SCHEMA: &str = "rhb-campaign-journal/v1";
 /// Lines per journal segment before rotation.
 pub const SEGMENT_LINES: usize = 512;
 
-/// One journal event. Field layout is flat (strings and numbers only)
-/// so the lenient line parser stays trivial.
+/// One journal event. Field layout is flat (strings and numbers only),
+/// one JSON object per line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalEvent {
     /// Process-start header: campaign identity and grid size.
@@ -77,9 +78,9 @@ impl JournalEvent {
         match self {
             JournalEvent::Campaign { name, total_runs } => {
                 out.push_str("{\"kind\": \"campaign\", \"schema\": ");
-                write_json_str(SCHEMA, &mut out);
+                write_json_string(SCHEMA, &mut out);
                 out.push_str(", \"name\": ");
-                write_json_str(name, &mut out);
+                write_json_string(name, &mut out);
                 let _ = write!(out, ", \"total_runs\": {total_runs}}}");
             }
             JournalEvent::Attempt {
@@ -88,7 +89,7 @@ impl JournalEvent {
                 seed,
             } => {
                 out.push_str("{\"kind\": \"attempt\", \"run_id\": ");
-                write_json_str(run_id, &mut out);
+                write_json_string(run_id, &mut out);
                 let _ = write!(out, ", \"attempt\": {attempt}, \"seed\": {seed}}}");
             }
             JournalEvent::Done {
@@ -100,9 +101,9 @@ impl JournalEvent {
                 backoff_ms,
             } => {
                 out.push_str("{\"kind\": \"done\", \"run_id\": ");
-                write_json_str(run_id, &mut out);
+                write_json_string(run_id, &mut out);
                 let _ = write!(out, ", \"attempt\": {attempt}, \"class\": ");
-                write_json_str(class, &mut out);
+                write_json_string(class, &mut out);
                 let asr = if asr.is_finite() { *asr } else { 0.0 };
                 let _ = write!(
                     out,
@@ -118,11 +119,11 @@ impl JournalEvent {
                 backoff_ms,
             } => {
                 out.push_str("{\"kind\": \"fail\", \"run_id\": ");
-                write_json_str(run_id, &mut out);
+                write_json_string(run_id, &mut out);
                 let _ = write!(out, ", \"attempt\": {attempt}, \"reason\": ");
-                write_json_str(reason, &mut out);
+                write_json_string(reason, &mut out);
                 out.push_str(", \"detail\": ");
-                write_json_str(detail, &mut out);
+                write_json_string(detail, &mut out);
                 let _ = write!(out, ", \"backoff_ms\": {backoff_ms}}}");
             }
             JournalEvent::Quarantine {
@@ -131,9 +132,9 @@ impl JournalEvent {
                 reason,
             } => {
                 out.push_str("{\"kind\": \"quarantine\", \"run_id\": ");
-                write_json_str(run_id, &mut out);
+                write_json_string(run_id, &mut out);
                 let _ = write!(out, ", \"attempts\": {attempts}, \"reason\": ");
-                write_json_str(reason, &mut out);
+                write_json_string(reason, &mut out);
                 out.push('}');
             }
         }
@@ -143,11 +144,16 @@ impl JournalEvent {
     /// Parses one journal line; `None` for corrupt/truncated/unknown
     /// lines (the lenient-reader contract).
     pub fn parse(line: &str) -> Option<JournalEvent> {
-        let fields = parse_flat_object(line)?;
-        let s = |k: &str| fields.get(k).and_then(Field::as_str).map(str::to_string);
-        let n = |k: &str| fields.get(k).and_then(Field::as_f64);
+        let fields = json::parse(line).ok()?;
+        let s = |k: &str| {
+            fields
+                .get(k)
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+        };
+        let n = |k: &str| fields.get(k).and_then(JsonValue::as_f64);
         let u = |k: &str| n(k).filter(|v| *v >= 0.0).map(|v| v as u64);
-        match fields.get("kind").and_then(Field::as_str)? {
+        match fields.get("kind").and_then(JsonValue::as_str)? {
             "campaign" => Some(JournalEvent::Campaign {
                 name: s("name")?,
                 total_runs: u("total_runs")? as usize,
@@ -422,147 +428,6 @@ impl Journal {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal flat-JSON line codec. The journal's wire format is a flat
-// object of string and number fields, which keeps this parser ~80 lines
-// and dependency-free (rhb-bench's full parser lives above this crate
-// in the dependency graph).
-// ---------------------------------------------------------------------------
-
-/// A parsed flat-object field value.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Field {
-    Str(String),
-    Num(f64),
-}
-
-impl Field {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Field::Str(s) => Some(s),
-            Field::Num(_) => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Field::Num(v) => Some(*v),
-            Field::Str(_) => None,
-        }
-    }
-}
-
-/// Escapes and quotes `s` as a JSON string into `out`.
-pub(crate) fn write_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parses a single-line flat JSON object (string/number/bool/null
-/// values, no nesting). Returns `None` on any syntax error — the
-/// lenient-reader contract turns corruption into a skipped line.
-pub(crate) fn parse_flat_object(line: &str) -> Option<HashMap<String, Field>> {
-    let mut chars = line.trim().chars().peekable();
-    let mut out = HashMap::new();
-    if chars.next()? != '{' {
-        return None;
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                break;
-            }
-            ',' => {
-                chars.next();
-                continue;
-            }
-            _ => {}
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek()? {
-            '"' => Field::Str(parse_string(&mut chars)?),
-            't' | 'f' | 'n' => {
-                let word: String =
-                    std::iter::from_fn(|| chars.next_if(|c| c.is_ascii_alphabetic())).collect();
-                match word.as_str() {
-                    "true" => Field::Num(1.0),
-                    "false" | "null" => Field::Num(0.0),
-                    _ => return None,
-                }
-            }
-            _ => {
-                let raw: String = std::iter::from_fn(|| {
-                    chars
-                        .next_if(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-                })
-                .collect();
-                Field::Num(raw.parse::<f64>().ok()?)
-            }
-        };
-        out.insert(key, value);
-    }
-    // Anything after the closing brace (other than whitespace) means the
-    // line was spliced/corrupted — reject it whole.
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return None;
-    }
-    Some(out)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.next_if(|c| c.is_whitespace()).is_some() {}
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'b' => out.push('\u{8}'),
-                'f' => out.push('\u{c}'),
-                'u' => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,14 +591,19 @@ mod tests {
     }
 
     #[test]
-    fn flat_parser_rejects_garbage_and_trailing_junk() {
-        assert!(parse_flat_object("{\"a\": 1}").is_some());
-        assert!(parse_flat_object("{\"a\": \"x\", \"b\": 2.5}").is_some());
-        assert!(parse_flat_object("not json").is_none());
-        assert!(parse_flat_object("{\"a\": 1} trailing").is_none());
-        assert!(parse_flat_object("{\"a\": }").is_none());
-        assert!(parse_flat_object("{\"a\": 1").is_none());
-        let nested = parse_flat_object("{\"a\": {\"b\": 1}}");
-        assert!(nested.is_none(), "nested objects are not flat");
+    fn event_parser_rejects_garbage_and_trailing_junk() {
+        let line = done("a", 1).to_line();
+        assert_eq!(JournalEvent::parse(&line), Some(done("a", 1)));
+        assert_eq!(
+            JournalEvent::parse(&format!("  {line}  ")),
+            Some(done("a", 1))
+        );
+        assert!(JournalEvent::parse("not json").is_none());
+        assert!(JournalEvent::parse(&format!("{line} trailing")).is_none());
+        assert!(JournalEvent::parse(&line[..line.len() - 1]).is_none());
+        assert!(JournalEvent::parse("{\"kind\": \"done\", \"run_id\": }").is_none());
+        // Well-formed JSON that is not a journal event is skipped too.
+        assert!(JournalEvent::parse("{\"kind\": \"mystery\"}").is_none());
+        assert!(JournalEvent::parse("[1, 2]").is_none());
     }
 }

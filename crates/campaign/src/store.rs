@@ -140,7 +140,7 @@ impl CampaignStore {
         out.push_str("{\n");
         out.push_str("  \"schema\": \"rhb-campaign-aggregate/v1\",\n");
         out.push_str("  \"name\": ");
-        crate::journal::write_json_str(&self.name, &mut out);
+        rhb_telemetry::json::write_json_string(&self.name, &mut out);
         out.push_str(",\n");
         out.push_str(&format!("  \"total_runs\": {},\n", self.total_runs));
         out.push_str(&format!("  \"complete\": {},\n", self.is_complete()));

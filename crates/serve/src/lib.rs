@@ -21,7 +21,7 @@
 //!   clean-accuracy/ASR trajectories, time-to-first-activation, and
 //!   tail-latency interference.
 //!
-//! The `exp_serve_attack` driver in `rhb-bench` wires these against the
+//! The `exp serve_attack` driver in `rhb-bench` wires these against the
 //! real attack pipeline; see `DESIGN.md`, "Victim serving".
 
 pub mod queue;

@@ -42,6 +42,7 @@
 //! [`TelemetryReport`] and the JSONL stream both carry.
 
 mod histogram;
+pub mod json;
 mod recorder;
 mod report;
 mod sink;

@@ -7,7 +7,7 @@
 //! * [`NoopSink`] — discards everything; with this sink installed (the
 //!   default) instrumentation costs one relaxed atomic load per site;
 //! * [`ProgressSink`] — human-readable progress on stderr, indented by
-//!   span depth (replaces the ad-hoc `eprintln!` of the `exp_*` bins);
+//!   span depth (replaces the ad-hoc `eprintln!` of the experiments);
 //! * [`JsonlSink`] — one JSON object per line to any writer, the format
 //!   `rhb-bench`'s reporter and the `BENCH_*.json` trajectories fold in.
 
