@@ -30,6 +30,14 @@ echo "== thread pool unit tests (blocking) =="
 # fallback, panic propagation, deterministic chunking) are a hard gate.
 cargo test --release -p rhb-par -q
 
+echo "== Table II regenerates (blocking) =="
+# The paper's Table II, seeded end to end: five attack methods on three
+# tiny ResNets (offline optimization, templating, matching, hammering).
+# The committed file must reproduce byte for byte, so a change that
+# moves a seeded result fails here until it commits the new file.
+RHB_TELEMETRY=off cargo run --release -p rhb-bench --bin exp -- table2 > ci_table2.txt
+diff -u results/table2.txt ci_table2.txt
+
 echo "== flight recorder smoke (non-blocking) =="
 # Record a fresh smoke run (with a Chrome trace) and diff it against the
 # committed BENCH_2.json baseline. Regressions warn but never fail CI:

@@ -23,6 +23,7 @@
 //! eval p99 latency breach, recovery pressure). Extra rules come from
 //! the `RHB_ALERT_RULES` environment DSL — see [`parse_rules`].
 
+use rhb_telemetry::json::write_json_string;
 use rhb_telemetry::MetricsSnapshot;
 use std::fmt::Write as _;
 
@@ -343,24 +344,6 @@ pub struct Alert {
     pub message: String,
 }
 
-fn esc(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn num(v: f64, out: &mut String) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
@@ -376,7 +359,7 @@ impl Alert {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\"kind\": \"alert\", \"rule\": ");
-        esc(&self.rule, &mut out);
+        write_json_string(&self.rule, &mut out);
         let _ = write!(
             out,
             ", \"severity\": \"{}\", \"state\": \"{}\", \"seq\": {}, \"uptime_s\": ",
@@ -391,7 +374,7 @@ impl Alert {
             None => out.push_str("null"),
         }
         out.push_str(", \"phase\": ");
-        esc(&self.phase, &mut out);
+        write_json_string(&self.phase, &mut out);
         out.push_str(", \"value\": ");
         num(self.value, &mut out);
         out.push_str(", \"threshold\": ");
@@ -402,7 +385,7 @@ impl Alert {
             None => out.push_str("null"),
         }
         out.push_str(", \"message\": ");
-        esc(&self.message, &mut out);
+        write_json_string(&self.message, &mut out);
         out.push('}');
         out
     }
@@ -565,19 +548,19 @@ impl AlertEngine {
             if i > 0 {
                 out.push_str(", ");
             }
-            esc(name, &mut out);
+            write_json_string(name, &mut out);
         }
         out.push_str("],\n  \"rules\": [\n");
         let n = self.rules.len();
         for (i, (rule, state)) in self.rules.iter().zip(&self.states).enumerate() {
             out.push_str("    {\"name\": ");
-            esc(&rule.name, &mut out);
+            write_json_string(&rule.name, &mut out);
             let _ = write!(
                 out,
                 ", \"severity\": \"{}\", \"condition\": ",
                 rule.severity.as_str()
             );
-            esc(&rule.predicate.describe(), &mut out);
+            write_json_string(&rule.predicate.describe(), &mut out);
             let _ = write!(
                 out,
                 ", \"sustain\": {}, \"clear\": {}, \"active\": {}, \"fired\": {}}}{}",

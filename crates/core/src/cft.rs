@@ -238,17 +238,22 @@ pub fn run(
             trigger.fgsm_step(&grad_input, config.epsilon);
         }
 
-        // Step 2: locate vulnerable weights.
+        // Step 2: locate vulnerable weights. With bit reduction enabled
+        // the mask is held fixed within each reduction period:
+        // re-selecting every iteration spreads the drift over several
+        // weights of the same group, and reduction would then discard all
+        // but one of them. Freezing the mask between reductions
+        // concentrates the drift on the weights that survive. A held mask
+        // reads only its own gradients, so only those are computed.
         net.zero_grad();
-        let eval = objective.evaluate(net, &batch, &labels, &trigger);
-        // With bit reduction enabled the mask is held fixed within each
-        // reduction period: re-selecting every iteration spreads the drift
-        // over several weights of the same group, and reduction would then
-        // discard all but one of them. Freezing the mask between
-        // reductions concentrates the drift on the weights that survive.
-        if !config.bit_reduction || t % period == 0 || final_mask.is_empty() {
+        let hold = config.bit_reduction && t % period != 0 && !final_mask.is_empty();
+        let loss = if hold {
+            objective.evaluate_masked(net, &batch, &labels, &trigger, &final_mask)
+        } else {
+            let loss = objective.evaluate(net, &batch, &labels, &trigger).loss;
             final_mask = group_sort_select(net, &plan);
-        }
+            loss
+        };
 
         // Step 3: adversarial fine-tuning on the mask only. The float
         // master weights drift freely between bit reductions; the forward
@@ -276,16 +281,16 @@ pub fn run(
         if bit_reduced {
             rhb_telemetry::counter!("core/cft/bit_reductions", 1);
         }
-        rhb_telemetry::gauge!("core/cft/loss", eval.loss);
+        rhb_telemetry::gauge!("core/cft/loss", loss);
         rhb_telemetry::event!(
             "cft_iteration",
             iteration = t,
-            loss = eval.loss,
+            loss = loss,
             bit_reduced = bit_reduced,
         );
         loss_history.push(LossPoint {
             iteration: t,
-            loss: eval.loss,
+            loss,
             bit_reduced,
         });
     }

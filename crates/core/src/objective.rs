@@ -7,6 +7,8 @@
 //!
 //! * [`Objective::evaluate`] — the weight gradients (and losses): a
 //!   clean and a triggered forward/backward pass each;
+//! * [`Objective::evaluate_masked`] — the same two passes for the weight
+//!   gradients at a held mask alone, with masked backwards;
 //! * [`Objective::trigger_gradient`] — the triggered-input gradient for
 //!   the FGSM step: one triggered forward and an input-only backward;
 //! * [`Objective::loss`] — the value of F for bit-reduction
@@ -67,6 +69,54 @@ impl Objective {
         labels: &[usize],
         trigger: &Trigger,
     ) -> ObjectiveEval {
+        let (clean_loss, triggered_loss, grad_triggered_input) =
+            self.passes(net, batch, labels, trigger, |net, grad| net.backward(grad));
+        ObjectiveEval {
+            loss: self.joint(clean_loss, triggered_loss),
+            clean_loss,
+            triggered_loss,
+            grad_triggered_input,
+        }
+    }
+
+    /// F on a batch — `evaluate`'s `loss`, bit for bit — while
+    /// accumulating only the weight gradients at `mask` (ascending flat
+    /// indices, the mask [`rhb_nn::optim::Sgd::step_masked`] steps), each
+    /// bit for bit what `evaluate` accumulates there. The same clean then
+    /// triggered `Frozen` passes, with masked backwards: no other
+    /// gradient entry is touched (callers zero them first) and no input
+    /// gradient is computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch and label counts disagree.
+    pub fn evaluate_masked(
+        &self,
+        net: &mut dyn Network,
+        batch: &Tensor,
+        labels: &[usize],
+        trigger: &Trigger,
+        mask: &[usize],
+    ) -> f32 {
+        let (clean_loss, triggered_loss, ()) =
+            self.passes(net, batch, labels, trigger, |net, grad| {
+                net.backward_masked(grad, mask)
+            });
+        self.joint(clean_loss, triggered_loss)
+    }
+
+    /// The two passes behind `evaluate`: clean, then triggered, each a
+    /// `Frozen` forward whose weighted logit gradient goes to `backward`.
+    /// Returns the unweighted clean and triggered losses and what the
+    /// triggered pass's `backward` returned.
+    fn passes<R>(
+        &self,
+        net: &mut dyn Network,
+        batch: &Tensor,
+        labels: &[usize],
+        trigger: &Trigger,
+        mut backward: impl FnMut(&mut dyn Network, &Tensor) -> R,
+    ) -> (f32, f32, R) {
         let batch_size = batch.shape().dim(0);
         assert_eq!(batch_size, labels.len(), "one label per sample");
 
@@ -75,25 +125,24 @@ impl Objective {
         // arithmetic inference runs — which is what the attacker targets.
         let logits = net.forward(batch, Mode::Frozen);
         let clean = cross_entropy(&logits, labels);
-        let mut grad = clean.grad_logits.clone();
+        let mut grad = clean.grad_logits;
         grad.scale(1.0 - self.alpha);
-        net.backward(&grad);
+        backward(net, &grad);
 
         // Triggered pass: α·ℓ(f(x+Δx), ỹ).
         let triggered = trigger.apply(batch);
         let target_labels = vec![self.target_label; batch_size];
         let logits_t = net.forward(&triggered, Mode::Frozen);
         let trig = cross_entropy(&logits_t, &target_labels);
-        let mut grad_t = trig.grad_logits.clone();
+        let mut grad_t = trig.grad_logits;
         grad_t.scale(self.alpha);
-        let grad_triggered_input = net.backward(&grad_t);
+        let out = backward(net, &grad_t);
+        (clean.loss, trig.loss, out)
+    }
 
-        ObjectiveEval {
-            loss: (1.0 - self.alpha) * clean.loss + self.alpha * trig.loss,
-            clean_loss: clean.loss,
-            triggered_loss: trig.loss,
-            grad_triggered_input,
-        }
+    /// F from its two unweighted terms.
+    fn joint(&self, clean_loss: f32, triggered_loss: f32) -> f32 {
+        (1.0 - self.alpha) * clean_loss + self.alpha * triggered_loss
     }
 
     /// The gradient of F w.r.t. the triggered batch — `evaluate`'s
@@ -132,7 +181,7 @@ impl Objective {
         let target_labels = vec![self.target_label; batch_size];
         let logits_t = net.forward(&trigger.apply(batch), Mode::Eval);
         let trig = cross_entropy(&logits_t, &target_labels).loss;
-        (1.0 - self.alpha) * clean + self.alpha * trig
+        self.joint(clean, trig)
     }
 }
 
@@ -223,6 +272,48 @@ mod tests {
             }
             let loss = obj.loss(net, &x, &y, &trigger);
             assert_eq!(loss.to_bits(), eval.loss.to_bits(), "{name} loss");
+        }
+    }
+
+    /// `evaluate_masked` returns `evaluate`'s loss bits and accumulates
+    /// its gradient bits at the mask — a real `Group_Sort_Select` mask —
+    /// leaving every other entry zero, on every deployed zoo victim.
+    #[test]
+    fn evaluate_masked_matches_evaluate_bit_for_bit_on_every_victim() {
+        use crate::groupsel::{group_sort_select, GroupPlan};
+        let grads = |net: &dyn Network| -> Vec<u32> {
+            net.params()
+                .iter()
+                .flat_map(|p| p.grad.data().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        for arch in Architecture::ALL {
+            let mut model = pretrained(arch, &ZooConfig::tiny(), 3);
+            let net = model.net.as_mut();
+            let (x, y) = model.test_data.head(8);
+            let mask =
+                TriggerMask::paper_default(model.test_data.channels(), model.test_data.side());
+            let trigger = Trigger::black_square(mask);
+            let obj = Objective::balanced(2);
+            net.zero_grad();
+            let eval = obj.evaluate(net, &x, &y, &trigger);
+            let reference = grads(net);
+            let plan = GroupPlan::new(net.num_params(), net.num_params().div_ceil(4096));
+            let mask = group_sort_select(net, &plan);
+            assert!(!mask.is_empty());
+
+            net.zero_grad();
+            let loss = obj.evaluate_masked(net, &x, &y, &trigger, &mask);
+            let name = arch.name();
+            assert_eq!(loss.to_bits(), eval.loss.to_bits(), "{name} loss");
+            for (i, (&got, &want)) in grads(net).iter().zip(&reference).enumerate() {
+                let want = if mask.binary_search(&i).is_ok() {
+                    want
+                } else {
+                    0
+                };
+                assert_eq!(got, want, "{name}: entry {i}");
+            }
         }
     }
 

@@ -715,6 +715,49 @@ mod tests {
         assert!(!offline.alternates.is_empty());
     }
 
+    /// Back-to-back attacks as the attack benchmark runs them (victim 41,
+    /// target 2, 6-pixel patch), at the two DRAM seeds where an
+    /// extended-templating match once drew an accidental cell at the
+    /// target's own bit and the hammer pass flipped the target back:
+    /// every target matches and verifies, and an attack after restoring
+    /// the base weights reproduces the first offline phase exactly.
+    #[test]
+    fn back_to_back_attacks_verify_every_target_at_formerly_colliding_dram_seeds() {
+        let model = pretrained(Architecture::ResNet20, &ZooConfig::tiny(), 41);
+        let mut pipe = AttackPipeline::new(model, 2, 726_002_179);
+        pipe.trigger_patch = Some(6);
+        let every_target_verified = |online: &OnlineReport, seed: u64| {
+            assert!(online.n_targets > 0, "seed {seed}: no target");
+            assert_eq!(online.n_matched, online.n_targets, "seed {seed} matched");
+            assert_eq!(
+                online.verified_flips, online.n_targets,
+                "seed {seed} verified"
+            );
+        };
+        let first = pipe.run_offline(AttackMethod::CftBr);
+        every_target_verified(&pipe.run_online(&first), pipe.seed);
+
+        first
+            .base_weights
+            .load_into(pipe.model.net.as_mut())
+            .expect("base weights match the victim");
+        pipe.seed = 411_001_236;
+        let second = pipe.run_offline(AttackMethod::CftBr);
+        assert_eq!(
+            (
+                second.n_flip,
+                second.attack_success_rate,
+                second.test_accuracy
+            ),
+            (first.n_flip, first.attack_success_rate, first.test_accuracy)
+        );
+        assert_eq!(
+            second.attacked_weights.bytes(),
+            first.attacked_weights.bytes()
+        );
+        every_target_verified(&pipe.run_online(&second), pipe.seed);
+    }
+
     #[test]
     fn chaos_run_degrades_gracefully_and_recovers_most_targets() {
         let mut pipe = pipeline(41);

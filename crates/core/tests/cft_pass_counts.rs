@@ -3,9 +3,12 @@
 //!
 //! Per iteration the FGSM trigger step runs one triggered `Frozen` forward
 //! and one input-only backward, and the weight step runs a clean and a
-//! triggered forward/backward. Each bit-reduction checkpoint (one per
-//! period plus one after the final reduction) runs two `Eval` forwards and
-//! no backward. The alternate harvest runs one more full evaluation.
+//! triggered forward/backward: full backwards on the iterations that
+//! re-select the mask (the first of each bit-reduction period), masked
+//! backwards on the iterations that hold it. Each bit-reduction
+//! checkpoint (one per period plus one after the final reduction) runs
+//! two `Eval` forwards and no backward. The alternate harvest runs one
+//! more full evaluation.
 //!
 //! The telemetry registry is process-wide, so the counts live in a test
 //! binary of their own: no unrelated test adds passes beside them.
@@ -49,8 +52,10 @@ fn cft_br_runs_only_the_passes_it_reads() {
 
     // 150 x 3 per iteration + 7 checkpoints x 2 + 2 for the harvest.
     assert_eq!(counter(&report, "nn/forward_passes"), 466);
-    // 150 x 2 for the weight step + 2 for the harvest.
-    assert_eq!(counter(&report, "nn/backward_passes"), 302);
+    // 6 re-selecting iterations x 2 + 2 for the harvest.
+    assert_eq!(counter(&report, "nn/backward_passes"), 14);
+    // 144 held-mask iterations x 2.
+    assert_eq!(counter(&report, "nn/backward_masked_passes"), 288);
     // One per trigger step.
     assert_eq!(counter(&report, "nn/backward_input_passes"), 150);
 }

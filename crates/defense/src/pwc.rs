@@ -166,6 +166,7 @@ mod tests {
             fn backward_input(&mut self, g: &Tensor) -> Tensor {
                 g.clone()
             }
+            fn backward_masked(&mut self, _: &Tensor, _: &[usize]) {}
             fn params(&self) -> Vec<&Parameter> {
                 vec![&self.0]
             }

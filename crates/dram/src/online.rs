@@ -29,7 +29,9 @@ use crate::chaos::{ChaosConfig, ChaosEngine, InjectedFault, ECC_WORD_BITS};
 use crate::error::{DramError, Result};
 use crate::hammer::{validate_pattern, HammerConfig};
 use crate::placement::{steer_weight_file, PlacementPlan};
-use crate::profile::{sample_poisson, FlipCell, FlipDirection, FlipProfile, PAGE_BITS};
+use crate::profile::{
+    draw_cell, first_cell_per_bit, sample_poisson, FlipCell, FlipDirection, FlipProfile, PAGE_BITS,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -493,20 +495,13 @@ impl OnlineAttack {
             direction: target.direction(),
             threshold: intensity / 2.0,
         }];
-        // Accidental company: the rest of the page's visible cells.
+        // Accidental company: the rest of the page's visible cells, none
+        // at the target's bit (the matched cell, drawn first, owns it).
         let extras = sample_poisson(visible_avg, rng);
         for _ in 0..extras {
-            cells.push(FlipCell {
-                page: frame,
-                bit_offset: rng.gen_range(0..PAGE_BITS),
-                direction: if rng.gen_bool(0.5) {
-                    FlipDirection::ZeroToOne
-                } else {
-                    FlipDirection::OneToZero
-                },
-                threshold: rng.gen_range(f64::EPSILON..=intensity),
-            });
+            cells.push(draw_cell(frame, intensity, rng));
         }
+        cells.retain(first_cell_per_bit());
         self.synthesized.insert(frame, cells);
         Some(frame)
     }
@@ -1231,6 +1226,63 @@ mod tests {
             let _ = i;
         }
         targets
+    }
+
+    /// Frames synthesized by extended templating hold one cell per bit,
+    /// so no hammer pass flips a bit twice and every matched target
+    /// verifies. A target's own 0→1 cell plus an accidental 1→0 cell at
+    /// the same bit used to flip it and flip it back. The 15-sided
+    /// pattern reaches every cell of the K1-like chip (~100 per frame),
+    /// so about one frame in seven draws a colliding pair.
+    #[test]
+    fn synthesized_frames_hold_one_cell_per_bit_and_every_target_verifies() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let data: Vec<u8> = (0..4 * PAGE_SIZE).map(|_| rng.gen()).collect();
+        let patterns = [HammerPattern::seven_sided(), HammerPattern::fifteen_sided()];
+        for (seed, pattern) in (0..400).zip(patterns.iter().cycle()) {
+            let profile = FlipProfile::template(ChipModel::online_ddr4(), 8, seed);
+            let config = HammerConfig {
+                pattern: *pattern,
+                reliability: 1.0,
+            };
+            let mut attack = OnlineAttack::new(profile, config)
+                .unwrap()
+                .with_extended_templating(4_000_000, seed ^ 0xd1a5);
+            let targets: Vec<TargetBit> = (0..4)
+                .map(|file_page| {
+                    let bit_offset = rng.gen_range(0..PAGE_BITS);
+                    let byte = data[file_page * PAGE_SIZE + bit_offset / 8];
+                    TargetBit {
+                        file_page,
+                        bit_offset,
+                        zero_to_one: byte & (1 << (bit_offset % 8)) == 0,
+                    }
+                })
+                .collect();
+            let mut bytes = data.clone();
+            let outcome = attack.execute(&mut bytes, &targets);
+            assert!(
+                !attack.synthesized.is_empty(),
+                "seed {seed}: no frame synthesized"
+            );
+            for (frame, cells) in &attack.synthesized {
+                let mut bits: Vec<usize> = cells.iter().map(|c| c.bit_offset).collect();
+                bits.sort_unstable();
+                bits.dedup();
+                assert_eq!(bits.len(), cells.len(), "seed {seed}, frame {frame}");
+            }
+            let mut flipped: Vec<(usize, usize)> = outcome
+                .applied
+                .iter()
+                .map(|f| (f.file_page, f.bit_offset))
+                .collect();
+            flipped.sort_unstable();
+            flipped.dedup();
+            assert_eq!(flipped.len(), outcome.applied.len(), "seed {seed}");
+            for rec in outcome.records.iter().filter(|r| r.matched_frame.is_some()) {
+                assert!(rec.verified, "seed {seed}: {:?} refuted", rec.target);
+            }
+        }
     }
 
     #[test]

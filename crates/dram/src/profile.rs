@@ -72,28 +72,13 @@ pub struct FlipProfile {
 impl FlipProfile {
     /// Templates `num_pages` pages of a buffer on the given chip.
     ///
-    /// Each page receives a Poisson-distributed number of vulnerable cells
-    /// with mean [`ChipModel::avg_flips_per_page`], at uniform bit offsets,
-    /// each pinned to a uniform direction — the paper observes 0→1 and 1→0
-    /// counts to be nearly equal — and a uniform aggression threshold.
+    /// Each page draws a Poisson-distributed number of vulnerable cells
+    /// with mean [`ChipModel::avg_flips_per_page`] (see [`draw_cell`]); a
+    /// draw at a bit that already holds a cell is dropped, since a real
+    /// bit is one cell flipping one way.
     pub fn template(chip: ChipModel, num_pages: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut cells = Vec::new();
-        for page in 0..num_pages {
-            let n = sample_poisson(chip.avg_flips_per_page, &mut rng);
-            for _ in 0..n {
-                cells.push(FlipCell {
-                    page,
-                    bit_offset: rng.gen_range(0..PAGE_BITS),
-                    direction: if rng.gen_bool(0.5) {
-                        FlipDirection::ZeroToOne
-                    } else {
-                        FlipDirection::OneToZero
-                    },
-                    threshold: rng.gen_range(f64::EPSILON..=1.0),
-                });
-            }
-        }
+        let cells = draw_pages(chip, 0..num_pages, &mut rng);
         rhb_telemetry::counter!("dram/pages_templated", num_pages);
         rhb_telemetry::counter!("dram/cells_templated", cells.len());
         let mut profile = FlipProfile {
@@ -109,8 +94,13 @@ impl FlipProfile {
     /// Reconstructs a profile from previously templated cells — the
     /// deserialization path for the on-disk template cache, so resumed
     /// campaigns re-hammer instead of re-template. No templating
-    /// telemetry is emitted: these pages were already paid for.
-    pub fn from_cells(chip: ChipModel, num_pages: usize, cells: Vec<FlipCell>) -> Self {
+    /// telemetry is emitted: these pages were already paid for. The
+    /// cells are grouped by page, each page's in the given order, and of
+    /// several cells at one (page, bit) only the first is kept, as
+    /// templating keeps it.
+    pub fn from_cells(chip: ChipModel, num_pages: usize, mut cells: Vec<FlipCell>) -> Self {
+        cells.sort_by_key(|c| c.page);
+        cells.retain(first_cell_per_bit());
         let mut profile = FlipProfile {
             chip,
             num_pages,
@@ -287,22 +277,12 @@ impl FlipProfile {
     ) -> std::ops::Range<usize> {
         let start = self.num_pages;
         let mut rng = StdRng::seed_from_u64(seed);
-        for page in start..start + additional_pages {
-            let n = sample_poisson(self.chip.avg_flips_per_page, &mut rng);
-            for _ in 0..n {
-                let cell = FlipCell {
-                    page,
-                    bit_offset: rng.gen_range(0..PAGE_BITS),
-                    direction: if rng.gen_bool(0.5) {
-                        FlipDirection::ZeroToOne
-                    } else {
-                        FlipDirection::OneToZero
-                    },
-                    threshold: rng.gen_range(f64::EPSILON..=1.0),
-                };
-                self.by_page.entry(page).or_default().push(self.cells.len());
-                self.cells.push(cell);
-            }
+        for cell in draw_pages(self.chip, start..start + additional_pages, &mut rng) {
+            self.by_page
+                .entry(cell.page)
+                .or_default()
+                .push(self.cells.len());
+            self.cells.push(cell);
         }
         self.num_pages += additional_pages;
         rhb_telemetry::counter!("dram/pages_retemplated", additional_pages);
@@ -315,6 +295,49 @@ impl FlipProfile {
         let minutes = 94.0 * num_pages as f64 / 32_768.0;
         Duration::from_secs_f64(minutes * 60.0)
     }
+}
+
+/// Draws one vulnerable cell of `page`: a uniform bit offset, a uniform
+/// direction — the paper observes 0→1 and 1→0 counts to be nearly
+/// equal — and a uniform aggression threshold up to `max_threshold`.
+pub(crate) fn draw_cell(page: usize, max_threshold: f64, rng: &mut StdRng) -> FlipCell {
+    FlipCell {
+        page,
+        bit_offset: rng.gen_range(0..PAGE_BITS),
+        direction: if rng.gen_bool(0.5) {
+            FlipDirection::ZeroToOne
+        } else {
+            FlipDirection::OneToZero
+        },
+        threshold: rng.gen_range(f64::EPSILON..=max_threshold),
+    }
+}
+
+/// Draws the cells of `pages` in order: a Poisson count per page, each
+/// cell drawn by [`draw_cell`] and kept by [`first_cell_per_bit`].
+fn draw_pages(chip: ChipModel, pages: std::ops::Range<usize>, rng: &mut StdRng) -> Vec<FlipCell> {
+    let mut keep = first_cell_per_bit();
+    let mut cells = Vec::new();
+    for page in pages {
+        for _ in 0..sample_poisson(chip.avg_flips_per_page, rng) {
+            let cell = draw_cell(page, 1.0, rng);
+            if keep(&cell) {
+                cells.push(cell);
+            }
+        }
+    }
+    cells
+}
+
+/// A filter over a stream of cells in which each page's cells arrive
+/// together: it keeps the first cell at each (page, bit) and rejects
+/// the rest, since a real bit is one cell flipping one way. Callers
+/// drop a draw only after its random numbers are consumed, so every
+/// page without such a collision stays exactly as drawn. The filter
+/// remembers, for each bit offset, the page that last took it.
+pub(crate) fn first_cell_per_bit() -> impl FnMut(&FlipCell) -> bool {
+    let mut taken_by = vec![usize::MAX; PAGE_BITS];
+    move |cell| std::mem::replace(&mut taken_by[cell.bit_offset], cell.page) != cell.page
 }
 
 /// Knuth's Poisson sampler, adequate for the per-page means in Table I.
@@ -485,6 +508,73 @@ mod tests {
         a.extend_template(128, 77);
         b.extend_template(128, 77);
         assert_eq!(a.cells(), b.cells());
+    }
+
+    /// A real bit is one cell: on the densest (K1-like) chip, where about
+    /// one page in seven draws two cells at one bit, no templated or
+    /// re-templated page holds two cells at one bit offset.
+    #[test]
+    fn every_page_holds_at_most_one_cell_per_bit() {
+        for seed in 0..40 {
+            let mut profile = FlipProfile::template(ChipModel::online_ddr4(), 128, seed);
+            profile.extend_template(128, seed + 1_000);
+            for page in 0..profile.num_pages() {
+                let mut bits: Vec<usize> = profile
+                    .flips_in_page(page)
+                    .iter()
+                    .map(|c| c.bit_offset)
+                    .collect();
+                let drawn = bits.len();
+                bits.sort_unstable();
+                bits.dedup();
+                assert_eq!(bits.len(), drawn, "seed {seed}, page {page}");
+            }
+        }
+    }
+
+    /// A colliding draw is dropped only after its random numbers are
+    /// consumed: the profile is the full stream of draws minus each
+    /// page's repeated bits, so pages without a collision are unchanged.
+    #[test]
+    fn dropped_draws_leave_the_rest_of_the_stream_unchanged() {
+        let chip = ChipModel::online_ddr4();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut expected = Vec::new();
+        let mut dropped = 0;
+        for page in 0..64 {
+            let n = sample_poisson(chip.avg_flips_per_page, &mut rng);
+            let drawn: Vec<FlipCell> = (0..n).map(|_| draw_cell(page, 1.0, &mut rng)).collect();
+            for (i, cell) in drawn.iter().enumerate() {
+                if drawn[..i].iter().all(|d| d.bit_offset != cell.bit_offset) {
+                    expected.push(*cell);
+                } else {
+                    dropped += 1;
+                }
+            }
+        }
+        assert!(dropped > 0, "no collision to drop: pick another seed");
+        assert_eq!(FlipProfile::template(chip, 64, 5).cells(), &expected[..]);
+    }
+
+    #[test]
+    fn from_cells_keeps_the_first_cell_at_each_bit() {
+        let cell = |page, bit_offset, direction| FlipCell {
+            page,
+            bit_offset,
+            direction,
+            threshold: 0.5,
+        };
+        let cells = vec![
+            cell(0, 7, FlipDirection::ZeroToOne),
+            cell(1, 7, FlipDirection::OneToZero),
+            cell(0, 7, FlipDirection::OneToZero),
+            cell(0, 9, FlipDirection::OneToZero),
+            cell(1, 7, FlipDirection::OneToZero),
+        ];
+        let profile = FlipProfile::from_cells(ChipModel::online_ddr4(), 2, cells.clone());
+        assert_eq!(profile.cells(), &[cells[0], cells[3], cells[1]]);
+        assert_eq!(profile.flips_in_page(0).len(), 2);
+        assert_eq!(profile.flips_in_page(1).len(), 1);
     }
 
     #[test]

@@ -507,6 +507,64 @@ mod tests {
         }
     }
 
+    /// `backward_masked` accumulates exactly `backward`'s bits at the
+    /// masked entries and leaves every other entry zero, on every zoo
+    /// graph after a `Frozen` and after a `Train` forward. The mask holds
+    /// a first-layer weight, a batch-norm γ and β of one channel, a
+    /// projection conv where the graph has one, the linear bias, and a
+    /// spread of entries across the whole network.
+    #[test]
+    fn backward_masked_matches_backward_at_the_mask_and_leaves_the_rest_zero() {
+        let cfg = ZooConfig::tiny();
+        let grads = |net: &dyn Network| -> Vec<u32> {
+            net.params()
+                .iter()
+                .flat_map(|p| p.grad.data().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        for arch in Architecture::ALL {
+            let (_, test) = dataset_for(arch, &cfg, 7);
+            let (x, labels) = test.head(6);
+            let layout = build(arch, &cfg, &mut Rng::seed_from(3));
+            let mut mask: Vec<usize> = (0..layout.num_params()).step_by(1_499).collect();
+            let mut start = 0;
+            let mut has_bn = false;
+            for p in layout.params() {
+                if p.name.ends_with(".gamma") && !has_bn {
+                    has_bn = true;
+                    mask.push(start + 1);
+                    mask.push(start + p.numel() + 1); // the β that follows
+                }
+                if p.name.contains("k1.weight") {
+                    mask.push(start + 2);
+                }
+                start += p.numel();
+            }
+            mask.extend([1, start - 1]);
+            mask.sort_unstable();
+            mask.dedup();
+            assert!(has_bn, "{} has a batch-norm", arch.name());
+            for mode in [Mode::Frozen, Mode::Train] {
+                let mut full = build(arch, &cfg, &mut Rng::seed_from(3));
+                let grad = cross_entropy(&full.forward(&x, mode), &labels).grad_logits;
+                full.backward(&grad);
+                let reference = grads(full.as_ref());
+                let mut masked = build(arch, &cfg, &mut Rng::seed_from(3));
+                masked.forward(&x, mode);
+                masked.backward_masked(&grad, &mask);
+                for (i, (&got, &want)) in grads(masked.as_ref()).iter().zip(&reference).enumerate()
+                {
+                    let want = if mask.binary_search(&i).is_ok() {
+                        want
+                    } else {
+                        0
+                    };
+                    assert_eq!(got, want, "{} {mode:?}: entry {i}", arch.name());
+                }
+            }
+        }
+    }
+
     /// An `Eval` forward between a `Frozen` forward and its backward
     /// (e.g. an accuracy probe mid-gradient) must leave the gradient
     /// bit-identical to an uninterrupted forward/backward.

@@ -1,6 +1,6 @@
 //! Non-linear activations.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, ParamGrads};
 use crate::param::Parameter;
 use crate::tensor::Tensor;
 
@@ -25,11 +25,19 @@ impl Layer for Relu {
         input.map(|v| v.max(0.0))
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_pass(
+        &mut self,
+        grad_output: &Tensor,
+        _: &ParamGrads,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let mask = self
             .mask
             .take()
             .expect("backward called without training-mode forward");
+        if !input_grad {
+            return None;
+        }
         assert_eq!(mask.len(), grad_output.numel(), "relu mask size mismatch");
         let data = grad_output
             .data()
@@ -37,7 +45,7 @@ impl Layer for Relu {
             .zip(&mask)
             .map(|(&g, &m)| if m { g } else { 0.0 })
             .collect();
-        Tensor::from_vec(data, grad_output.shape().dims())
+        Some(Tensor::from_vec(data, grad_output.shape().dims()))
     }
 
     fn params(&self) -> Vec<&Parameter> {

@@ -17,13 +17,13 @@ use crate::error::{NnError, Result};
 use crate::gemm;
 use crate::gemm_i8;
 use crate::init::{kaiming_normal, Rng};
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, ParamGrads};
 use crate::param::Parameter;
 use crate::quant::QuantScheme;
 use crate::scratch::{ScratchBuffer, ScratchI32, ScratchI8};
 use crate::tensor::Tensor;
 
-/// Minimum whole-layer flop count (`2·batch·M·K·N`) before a conv
+/// Minimum whole-layer flop count (`2·batch·M·K·N`) before an int8 conv
 /// forward is split across the pool at all.
 ///
 /// Below this the per-dispatch cost of waking worker threads exceeds
@@ -499,114 +499,6 @@ impl Conv2d {
         run_batch_tasks(tasks);
         Tensor::from_vec(output, &[batch, g.out_channels, out, out])
     }
-
-    /// The one backward body behind [`Layer::backward`] and
-    /// [`Layer::backward_input`]. The input gradient runs the same GEMMs
-    /// either way; `param_grads` adds the per-image `dW`/bias partials
-    /// and their batch-order folds into the parameter gradients.
-    fn backward_pass(&mut self, grad_output: &Tensor, param_grads: bool) -> Tensor {
-        let cache = self
-            .cached
-            .take()
-            .expect("backward called without training-mode forward");
-        let g = self.geom;
-        let dims = grad_output.shape().dims();
-        let (batch, out) = (dims[0], dims[2]);
-        assert_eq!(
-            batch, cache.batch,
-            "grad batch mismatch with cached forward"
-        );
-        let in_side = cache.in_side;
-        let rows = g.in_channels * g.kernel * g.kernel;
-        let ow2 = out * out;
-        let gout_len = g.out_channels * ow2;
-        let image_len = g.in_channels * in_side * in_side;
-        let wk = g.out_channels * rows;
-        // An input-only pass stages no partials: its chunks are empty.
-        let (dw_len, dbias_len) = if param_grads {
-            (wk, g.out_channels)
-        } else {
-            (0, 0)
-        };
-
-        let wmat = self.weight.effective_into(&mut self.scratch.wmat);
-        let cols_all = self.scratch.cols.slice(batch * rows * ow2);
-        let dw_all = self.scratch.dw.filled(batch * dw_len);
-        let dcols_all = self.scratch.work.filled(batch * rows * ow2);
-        let dbias_all = self.scratch.dbias.zeroed(batch * dbias_len);
-        let has_bias = self.bias.is_some();
-
-        let mut grad_input = vec![0.0f32; batch * image_len];
-        let pool = rhb_par::pool();
-        let ranges = rhb_par::split_range(batch, pool.threads(), 1);
-        let gin_chunks = rhb_par::split_slice_mut(&mut grad_input, &ranges, image_len);
-        let dw_chunks = rhb_par::split_slice_mut(dw_all, &ranges, dw_len);
-        let dcols_chunks = rhb_par::split_slice_mut(dcols_all, &ranges, rows * ow2);
-        let dbias_chunks = rhb_par::split_slice_mut(dbias_all, &ranges, dbias_len);
-        let gout = grad_output.data();
-
-        let tasks: Vec<rhb_par::Task<'_>> = ranges
-            .iter()
-            .zip(gin_chunks)
-            .zip(dw_chunks)
-            .zip(dcols_chunks)
-            .zip(dbias_chunks)
-            .map(|((((r, gin_c), dw_c), dcols_c), dbias_c)| {
-                let r = r.clone();
-                Box::new(move || {
-                    for (i, b) in r.clone().enumerate() {
-                        let gy = &gout[b * gout_len..(b + 1) * gout_len];
-                        if param_grads {
-                            // dW_b = dY cols^T, stashed per image and
-                            // folded below in batch order.
-                            let cols = &cols_all[b * rows * ow2..(b + 1) * rows * ow2];
-                            let dw = &mut dw_c[i * wk..(i + 1) * wk];
-                            gemm::gemm_nt_serial(gy, cols, dw, g.out_channels, ow2, rows);
-                            if has_bias {
-                                for oc in 0..g.out_channels {
-                                    dbias_c[i * g.out_channels + oc] =
-                                        gy[oc * ow2..(oc + 1) * ow2].iter().sum();
-                                }
-                            }
-                        }
-                        // dcols = W^T dY, then scatter back to the image.
-                        let dcols = &mut dcols_c[i * rows * ow2..(i + 1) * rows * ow2];
-                        gemm::gemm_tn_serial(wmat, gy, dcols, rows, g.out_channels, ow2);
-                        let gimg = &mut gin_c[i * image_len..(i + 1) * image_len];
-                        col2im_into(g, dcols, in_side, out, gimg);
-                    }
-                }) as rhb_par::Task<'_>
-            })
-            .collect();
-        pool.run(tasks);
-        let grad_input = Tensor::from_vec(grad_input, &[batch, g.in_channels, in_side, in_side]);
-        if !param_grads {
-            return grad_input;
-        }
-
-        // Serial folds in batch order: bit-identical to the single-thread
-        // accumulation regardless of how the batch was chunked above.
-        let dw_all = self.scratch.dw.slice(batch * wk);
-        let dw_acc = self.scratch.dw_acc.zeroed(wk);
-        for b in 0..batch {
-            for (acc, &d) in dw_acc.iter_mut().zip(&dw_all[b * wk..(b + 1) * wk]) {
-                *acc += d;
-            }
-        }
-        for (gw, &acc) in self.weight.grad.data_mut().iter_mut().zip(&*dw_acc) {
-            *gw += acc;
-        }
-        if let Some(bias) = &mut self.bias {
-            let dbias_all = self.scratch.dbias.slice(batch * g.out_channels);
-            let bg = bias.grad.data_mut();
-            for b in 0..batch {
-                for oc in 0..g.out_channels {
-                    bg[oc] += dbias_all[b * g.out_channels + oc];
-                }
-            }
-        }
-        grad_input
-    }
 }
 
 impl Layer for Conv2d {
@@ -644,13 +536,7 @@ impl Layer for Conv2d {
         let cols_all = colbuf.filled(batch * rows * ow2);
 
         let mut output = vec![0.0f32; batch * gout_len];
-        let flops = 2 * batch * g.out_channels * rows * ow2;
-        let threads = if flops < BATCH_PAR_MIN_FLOPS {
-            1
-        } else {
-            rhb_par::pool().threads()
-        };
-        let ranges = rhb_par::split_range(batch, threads, 1);
+        let ranges = rhb_par::split_range(batch, rhb_par::pool().threads(), 1);
         let out_chunks = rhb_par::split_slice_mut(&mut output, &ranges, gout_len);
         let col_chunks = rhb_par::split_slice_mut(cols_all, &ranges, rows * ow2);
         let input_data = input.data();
@@ -685,12 +571,139 @@ impl Layer for Conv2d {
         Tensor::from_vec(output, &[batch, g.out_channels, out, out])
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_pass(grad_output, true)
-    }
+    /// The one backward body. Per image it stages the selected `dW`
+    /// entries (all of them through `gemm_nt_serial`, a masked few as its
+    /// per-element dot products) and bias sums, and runs the
+    /// input-gradient GEMM and col2im only when `input_grad` asks; the
+    /// staged partials are then folded in batch order into the parameter
+    /// gradients.
+    fn backward_pass(
+        &mut self,
+        grad_output: &Tensor,
+        params: &ParamGrads,
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        let cache = self
+            .cached
+            .take()
+            .expect("backward called without training-mode forward");
+        let g = self.geom;
+        let dims = grad_output.shape().dims();
+        let (batch, out) = (dims[0], dims[2]);
+        assert_eq!(
+            batch, cache.batch,
+            "grad batch mismatch with cached forward"
+        );
+        let in_side = cache.in_side;
+        let rows = g.in_channels * g.kernel * g.kernel;
+        let ow2 = out * out;
+        let gout_len = g.out_channels * ow2;
+        let image_len = g.in_channels * in_side * in_side;
+        let wk = g.out_channels * rows;
+        let w_sel = params.narrow(0, wk);
+        let b_sel = match self.bias {
+            Some(_) => params.narrow(wk, g.out_channels),
+            None => ParamGrads::Skip,
+        };
+        // Each image stages only what is selected: no partials at all for
+        // an input-only pass, and no dX buffers without `input_grad`.
+        let dw_len = w_sel.entries(wk).count();
+        let dbias_len = b_sel.entries(g.out_channels).count();
+        let (dcols_len, gin_len) = if input_grad {
+            (rows * ow2, image_len)
+        } else {
+            (0, 0)
+        };
 
-    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_pass(grad_output, false)
+        let wmat = self.weight.effective_into(&mut self.scratch.wmat);
+        let cols_all = self.scratch.cols.slice(batch * rows * ow2);
+        let dw_all = self.scratch.dw.filled(batch * dw_len);
+        let dcols_all = self.scratch.work.filled(batch * dcols_len);
+        let dbias_all = self.scratch.dbias.zeroed(batch * dbias_len);
+
+        let mut grad_input = vec![0.0f32; batch * gin_len];
+        // A pass without dX stages a few dot products per image: too
+        // little work to hand to the pool.
+        let threads = if input_grad {
+            rhb_par::pool().threads()
+        } else {
+            1
+        };
+        let ranges = rhb_par::split_range(batch, threads, 1);
+        let gin_chunks = rhb_par::split_slice_mut(&mut grad_input, &ranges, gin_len);
+        let dw_chunks = rhb_par::split_slice_mut(dw_all, &ranges, dw_len);
+        let dcols_chunks = rhb_par::split_slice_mut(dcols_all, &ranges, dcols_len);
+        let dbias_chunks = rhb_par::split_slice_mut(dbias_all, &ranges, dbias_len);
+        let gout = grad_output.data();
+        let (w_sel, b_sel) = (&w_sel, &b_sel);
+
+        let tasks: Vec<rhb_par::Task<'_>> = ranges
+            .iter()
+            .zip(gin_chunks)
+            .zip(dw_chunks)
+            .zip(dcols_chunks)
+            .zip(dbias_chunks)
+            .map(|((((r, gin_c), dw_c), dcols_c), dbias_c)| {
+                let r = r.clone();
+                Box::new(move || {
+                    for (i, b) in r.clone().enumerate() {
+                        let gy = &gout[b * gout_len..(b + 1) * gout_len];
+                        // dW_b = dY cols^T, stashed per image and folded
+                        // below in batch order.
+                        let cols = &cols_all[b * rows * ow2..(b + 1) * rows * ow2];
+                        let dw = &mut dw_c[i * dw_len..(i + 1) * dw_len];
+                        if *w_sel == ParamGrads::All {
+                            gemm::gemm_nt_serial(gy, cols, dw, g.out_channels, ow2, rows);
+                        } else {
+                            for (d, k) in dw.iter_mut().zip(w_sel.entries(wk)) {
+                                let (oc, row) = (k / rows, k % rows);
+                                *d = gemm::dot(
+                                    &gy[oc * ow2..(oc + 1) * ow2],
+                                    &cols[row * ow2..(row + 1) * ow2],
+                                );
+                            }
+                        }
+                        let dbias = &mut dbias_c[i * dbias_len..(i + 1) * dbias_len];
+                        for (d, oc) in dbias.iter_mut().zip(b_sel.entries(g.out_channels)) {
+                            *d = gy[oc * ow2..(oc + 1) * ow2].iter().sum();
+                        }
+                        if input_grad {
+                            // dcols = W^T dY, then scatter back to the image.
+                            let dcols = &mut dcols_c[i * rows * ow2..(i + 1) * rows * ow2];
+                            gemm::gemm_tn_serial(wmat, gy, dcols, rows, g.out_channels, ow2);
+                            let gimg = &mut gin_c[i * image_len..(i + 1) * image_len];
+                            col2im_into(g, dcols, in_side, out, gimg);
+                        }
+                    }
+                }) as rhb_par::Task<'_>
+            })
+            .collect();
+        run_batch_tasks(tasks);
+
+        // Serial folds in batch order: bit-identical to the single-thread
+        // accumulation regardless of how the batch was chunked above.
+        let dw_all = self.scratch.dw.slice(batch * dw_len);
+        let dw_acc = self.scratch.dw_acc.zeroed(dw_len);
+        for b in 0..batch {
+            for (acc, &d) in dw_acc.iter_mut().zip(&dw_all[b * dw_len..(b + 1) * dw_len]) {
+                *acc += d;
+            }
+        }
+        let gw = self.weight.grad.data_mut();
+        for (k, &acc) in w_sel.entries(wk).zip(&*dw_acc) {
+            gw[k] += acc;
+        }
+        if let Some(bias) = &mut self.bias {
+            let dbias_all = self.scratch.dbias.slice(batch * dbias_len);
+            let bg = bias.grad.data_mut();
+            for b in 0..batch {
+                let dbias = &dbias_all[b * dbias_len..(b + 1) * dbias_len];
+                for (oc, &d) in b_sel.entries(g.out_channels).zip(dbias) {
+                    bg[oc] += d;
+                }
+            }
+        }
+        input_grad.then(|| Tensor::from_vec(grad_input, &[batch, g.in_channels, in_side, in_side]))
     }
 
     fn params(&self) -> Vec<&Parameter> {

@@ -313,14 +313,20 @@ pub fn gemm_nt_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
             j += 4;
         }
         for jj in j..n {
-            let b_row = &b[jj * k..(jj + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            c_row[jj] = acc;
+            c_row[jj] = dot(a_row, &b[jj * k..(jj + 1) * k]);
         }
     }
+}
+
+/// One element of [`gemm_nt_serial`]'s output, `Σ a[kk]·b[kk]`: a fresh
+/// accumulator summed in ascending `kk`, bit for bit what the tiled
+/// kernel computes for that element.
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for (&av, &bv) in a.iter().zip(b) {
+        acc += av * bv;
+    }
+    acc
 }
 
 /// Serial `C = Aᵀ·B` over the full row range.
@@ -332,8 +338,9 @@ pub fn gemm_tn_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
 /// `rows.len()·n` long). `k`-outer loop order: each output element
 /// accumulates in ascending `k` — the order the pre-PR code got from
 /// materializing `Aᵀ` and running the naive kernel — while streaming
-/// `B` rows sequentially.
-fn gemm_tn_range(
+/// `B` rows sequentially. Every element's bits are independent of
+/// `rows`, so one row equals that row of the whole product.
+pub(crate) fn gemm_tn_range(
     a: &[f32],
     b: &[f32],
     c_rows: &mut [f32],

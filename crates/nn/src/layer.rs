@@ -50,12 +50,70 @@ impl Mode {
     }
 }
 
+/// Which parameter gradients a backward pass accumulates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParamGrads {
+    /// Every entry of every parameter ([`Layer::backward`]).
+    All,
+    /// None ([`Layer::backward_input`]).
+    Skip,
+    /// The listed entries: ascending flat indices into the layer's
+    /// parameters, concatenated in [`Layer::params`] order — the mask
+    /// [`crate::optim::Sgd::step_masked`] steps.
+    Only(Vec<usize>),
+}
+
+impl ParamGrads {
+    /// The part of this selection inside flat entries `start..start +
+    /// len`, re-based to start at 0: what the layer (or the one tensor)
+    /// at that offset computes. An empty part is `Skip`.
+    pub(crate) fn narrow(&self, start: usize, len: usize) -> ParamGrads {
+        match self {
+            ParamGrads::Only(mask) => {
+                let lo = mask.partition_point(|&i| i < start);
+                let hi = mask.partition_point(|&i| i < start + len);
+                if lo == hi {
+                    ParamGrads::Skip
+                } else {
+                    ParamGrads::Only(mask[lo..hi].iter().map(|&i| i - start).collect())
+                }
+            }
+            all_or_none => all_or_none.clone(),
+        }
+    }
+
+    /// The selected entries of a `len`-entry tensor, ascending.
+    pub(crate) fn entries(&self, len: usize) -> impl Iterator<Item = usize> + '_ {
+        let (all, listed): (_, &[usize]) = match self {
+            ParamGrads::All => (0..len, &[]),
+            ParamGrads::Skip => (0..0, &[]),
+            ParamGrads::Only(mask) => (0..0, mask),
+        };
+        all.chain(listed.iter().copied())
+    }
+
+    /// Whether a selected entry lies below flat index `start`: a layer
+    /// starting there must then pass its input gradient down.
+    fn any_below(&self, start: usize) -> bool {
+        match self {
+            ParamGrads::All => start > 0,
+            ParamGrads::Skip => false,
+            ParamGrads::Only(mask) => mask.first().is_some_and(|&i| i < start),
+        }
+    }
+}
+
+/// Total scalar entries of a layer's parameters.
+fn param_count(layer: &dyn Layer) -> usize {
+    layer.params().iter().map(|p| p.numel()).sum()
+}
+
 /// One differentiable building block.
 ///
-/// Contract: `backward` may only be called after `forward` with
-/// `Mode::Train`, and consumes the caches that forward populated. Gradients
-/// accumulate into each parameter's `grad` tensor; callers reset them with
-/// [`Layer::zero_grad`].
+/// Contract: a backward pass may only be called after `forward` in a
+/// caching mode (`Train` or `Frozen`), and consumes the caches that
+/// forward populated. Gradients accumulate into each parameter's `grad`
+/// tensor; callers reset them with [`Layer::zero_grad`].
 pub trait Layer: Send {
     /// Computes the layer output, caching activations when training.
     fn forward(&mut self, input: &Tensor) -> Tensor {
@@ -65,29 +123,46 @@ pub trait Layer: Send {
     /// Computes the layer output in the given mode.
     fn forward_mode(&mut self, input: &Tensor, mode: Mode) -> Tensor;
 
-    /// Backpropagates `grad_output`, accumulating parameter gradients and
-    /// returning the gradient w.r.t. the layer input.
+    /// Backpropagates `grad_output`, accumulating every parameter
+    /// gradient and returning the gradient w.r.t. the layer input.
     ///
     /// # Panics
     ///
-    /// Implementations panic if called without a preceding training-mode
-    /// forward pass.
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+    /// As [`Layer::backward_pass`].
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_pass(grad_output, &ParamGrads::All, true)
+            .expect("input gradient requested")
+    }
 
     /// [`Layer::backward`] without the parameter gradients: returns the
     /// same input gradient, bit for bit, and leaves every parameter's
     /// `grad` untouched. FGSM trigger learning reads only the input
     /// gradient, so it skips the weight-gradient work.
     ///
-    /// The default runs `backward`, which is exact for layers without
-    /// parameters; layers with parameters override it.
+    /// # Panics
+    ///
+    /// As [`Layer::backward_pass`].
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_pass(grad_output, &ParamGrads::Skip, true)
+            .expect("input gradient requested")
+    }
+
+    /// The one backward every pass runs. Accumulates the parameter
+    /// gradients `params` selects — each entry bit for bit what
+    /// [`Layer::backward`] accumulates there — leaves every other entry
+    /// untouched, and returns the input gradient if `input_grad` is set
+    /// (`None` otherwise).
     ///
     /// # Panics
     ///
-    /// As [`Layer::backward`].
-    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward(grad_output)
-    }
+    /// Implementations panic if called without a preceding caching-mode
+    /// forward pass.
+    fn backward_pass(
+        &mut self,
+        grad_output: &Tensor,
+        params: &ParamGrads,
+        input_grad: bool,
+    ) -> Option<Tensor>;
 
     /// Immutable views of the layer's parameters, in deterministic order.
     fn params(&self) -> Vec<&Parameter>;
@@ -181,24 +256,6 @@ impl Sequential {
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
-
-    /// Runs `step` over the layers last to first, threading the gradient.
-    /// The last layer reads `grad_output` in place, as forward does.
-    fn backward_each(
-        &mut self,
-        grad_output: &Tensor,
-        mut step: impl FnMut(&mut dyn Layer, &Tensor) -> Tensor,
-    ) -> Tensor {
-        let mut layers = self.layers.iter_mut().rev();
-        let Some(last) = layers.next() else {
-            return grad_output.clone();
-        };
-        let mut g = step(last.as_mut(), grad_output);
-        for layer in layers {
-            g = step(layer.as_mut(), &g);
-        }
-        g
-    }
 }
 
 impl Default for Sequential {
@@ -228,12 +285,43 @@ impl Layer for Sequential {
         x
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_each(grad_output, |layer, g| layer.backward(g))
-    }
-
-    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_each(grad_output, |layer, g| layer.backward_input(g))
+    /// Runs the layers last to first, threading the gradient; the last
+    /// layer reads `grad_output` in place, as forward does. Each layer
+    /// gets its part of `params` at its flat parameter offset. Without
+    /// `input_grad` the pass stops at the earliest layer holding a
+    /// selected entry: that layer computes no input gradient, and no
+    /// layer below it runs.
+    fn backward_pass(
+        &mut self,
+        grad_output: &Tensor,
+        params: &ParamGrads,
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        let lens: Vec<usize> = self
+            .layers
+            .iter()
+            .map(|l| param_count(l.as_ref()))
+            .collect();
+        let mut end: usize = lens.iter().sum();
+        let mut grad: Option<Tensor> = None;
+        for (layer, len) in self.layers.iter_mut().zip(lens).rev() {
+            let start = end - len;
+            end = start;
+            let own = params.narrow(start, len);
+            let g = grad.as_ref().unwrap_or(grad_output);
+            if !input_grad && !params.any_below(start) {
+                if own != ParamGrads::Skip {
+                    layer.backward_pass(g, &own, false);
+                }
+                return None;
+            }
+            grad = Some(
+                layer
+                    .backward_pass(g, &own, true)
+                    .expect("input gradient requested"),
+            );
+        }
+        input_grad.then(|| grad.unwrap_or_else(|| grad_output.clone()))
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -270,20 +358,6 @@ impl Residual {
     pub fn new(main: Sequential, projection: Option<Sequential>) -> Self {
         Residual { main, projection }
     }
-
-    /// Runs `step` down both paths and sums their input gradients.
-    fn backward_each(
-        &mut self,
-        grad_output: &Tensor,
-        mut step: impl FnMut(&mut Sequential, &Tensor) -> Tensor,
-    ) -> Tensor {
-        let mut grad_input = step(&mut self.main, grad_output);
-        match &mut self.projection {
-            Some(projection) => grad_input.axpy(1.0, &step(projection, grad_output)),
-            None => grad_input.axpy(1.0, grad_output),
-        }
-        grad_input
-    }
 }
 
 impl Layer for Residual {
@@ -296,12 +370,34 @@ impl Layer for Residual {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_each(grad_output, |path, g| path.backward(g))
-    }
-
-    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_each(grad_output, |path, g| path.backward_input(g))
+    /// Runs both paths, each with its part of `params` (main path
+    /// first, as in the parameter order), and sums their input
+    /// gradients when `input_grad` asks for them.
+    fn backward_pass(
+        &mut self,
+        grad_output: &Tensor,
+        params: &ParamGrads,
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        let main_len = param_count(&self.main);
+        let mut grad_input =
+            self.main
+                .backward_pass(grad_output, &params.narrow(0, main_len), input_grad);
+        match &mut self.projection {
+            Some(projection) => {
+                let own = params.narrow(main_len, param_count(projection));
+                let skip = projection.backward_pass(grad_output, &own, input_grad);
+                if let (Some(g), Some(skip)) = (&mut grad_input, skip) {
+                    g.axpy(1.0, &skip);
+                }
+            }
+            None => {
+                if let Some(g) = &mut grad_input {
+                    g.axpy(1.0, grad_output);
+                }
+            }
+        }
+        grad_input
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -557,6 +653,89 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A masked `backward_pass` accumulates exactly `backward`'s bits at
+    /// the masked entries and leaves every other entry zero, through every
+    /// layer kind, in both caching modes, with and without the input
+    /// gradient (which, when asked for, is `backward`'s too).
+    #[test]
+    fn masked_gradients_match_backward_bits_and_leave_the_rest_zero() {
+        let x = random_tensor(&[2, 3, 6, 6], 42);
+        let g = random_tensor(&[2, 3], 43);
+        let layout = every_layer_kind();
+        let names: Vec<&str> = layout.params().iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names[10], "conv4x5k1.weight", "projection conv");
+        assert_eq!(names[20], "linear5x3.bias");
+        let starts: Vec<usize> = layout
+            .params()
+            .iter()
+            .scan(0, |next, p| {
+                let start = *next;
+                *next += p.numel();
+                Some(start)
+            })
+            .collect();
+        // (parameter, entry) pairs: first-layer weight and bias, a
+        // batch-norm γ and β of one channel, the projection conv, a conv of
+        // the identity block, the linear weight and bias.
+        let at = |picks: &[(usize, usize)]| -> Vec<usize> {
+            picks.iter().map(|&(p, e)| starts[p] + e).collect()
+        };
+        let masks = [
+            at(&[
+                (0, 5),
+                (1, 2),
+                (2, 1),
+                (3, 1),
+                (10, 7),
+                (13, 30),
+                (19, 4),
+                (20, 2),
+            ]),
+            at(&[(20, 2)]),
+            at(&[(10, 7)]),
+            at(&[(2, 3), (3, 3)]),
+            Vec::new(),
+        ];
+        for mode in [Mode::Train, Mode::Frozen] {
+            let mut full = every_layer_kind();
+            full.forward_mode(&x, mode);
+            let reference_gin = bits(&full.backward(&g));
+            let reference: Vec<u32> = full.params().iter().flat_map(|p| bits(&p.grad)).collect();
+            for mask in &masks {
+                for input_grad in [false, true] {
+                    let mut net = every_layer_kind();
+                    net.forward_mode(&x, mode);
+                    let selected = ParamGrads::Only(mask.clone());
+                    let gin = net.backward_pass(&g, &selected, input_grad);
+                    assert_eq!(
+                        gin.map(|t| bits(&t)),
+                        input_grad.then(|| reference_gin.clone()),
+                        "{mode:?} {mask:?}: input gradient"
+                    );
+                    let got: Vec<u32> = net.params().iter().flat_map(|p| bits(&p.grad)).collect();
+                    for (i, (&got, &want)) in got.iter().zip(&reference).enumerate() {
+                        let want = if mask.contains(&i) { want } else { 0 };
+                        assert_eq!(got, want, "{mode:?} {mask:?}: entry {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_rebases_the_selection_onto_one_layer() {
+        let mask = ParamGrads::Only(vec![3, 7, 8, 12]);
+        assert_eq!(mask.narrow(5, 5), ParamGrads::Only(vec![2, 3]));
+        assert_eq!(mask.narrow(9, 3), ParamGrads::Skip);
+        assert_eq!(ParamGrads::All.narrow(9, 3), ParamGrads::All);
+        assert_eq!(mask.entries(99).collect::<Vec<_>>(), vec![3, 7, 8, 12]);
+        assert_eq!(
+            ParamGrads::All.entries(3).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
+        assert_eq!(ParamGrads::Skip.entries(3).count(), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::gemm;
 use crate::gemm_i8;
 use crate::init::{kaiming_normal, Rng};
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, ParamGrads};
 use crate::param::Parameter;
 use crate::quant::QuantScheme;
 use crate::scratch::{ScratchBuffer, ScratchI32, ScratchI8};
@@ -167,52 +167,6 @@ impl Linear {
         }
         Tensor::from_vec(out, &[m, n])
     }
-
-    /// The one backward body behind [`Layer::backward`] and
-    /// [`Layer::backward_input`]: `dX` always, `dW`/`db` only when
-    /// `param_grads` is set.
-    fn backward_pass(&mut self, grad_output: &Tensor, param_grads: bool) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("backward called without training-mode forward");
-        let batch = input.shape().dim(0);
-        if param_grads {
-            // dW = dY^T X  (shape [out, in])
-            let dw = self.scratch.dw.filled(self.out_features * self.in_features);
-            gemm::gemm_tn(
-                grad_output.data(),
-                input.data(),
-                dw,
-                self.out_features,
-                batch,
-                self.in_features,
-            );
-            for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(&*dw) {
-                *g += d;
-            }
-            if let Some(bias) = &mut self.bias {
-                let n = self.out_features;
-                for row in grad_output.data().chunks(n) {
-                    for (g, &r) in bias.grad.data_mut().iter_mut().zip(row) {
-                        *g += r;
-                    }
-                }
-            }
-        }
-        // dX = dY W  (shape [batch, in])
-        let wmat = self.weight.effective_into(&mut self.scratch.wmat);
-        let mut dx = vec![0.0f32; batch * self.in_features];
-        gemm::gemm(
-            grad_output.data(),
-            wmat,
-            &mut dx,
-            batch,
-            self.out_features,
-            self.in_features,
-        );
-        Tensor::from_vec(dx, &[batch, self.in_features])
-    }
 }
 
 impl Layer for Linear {
@@ -247,12 +201,60 @@ impl Layer for Linear {
         Tensor::from_vec(out, &[m, n])
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_pass(grad_output, true)
-    }
-
-    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_pass(grad_output, false)
+    /// The one backward body: the selected `dW` entries (all of them
+    /// through one `gemm_tn`, a masked few from the same kernel run on
+    /// their rows alone) and bias entries, then `dX` when `input_grad`
+    /// asks.
+    fn backward_pass(
+        &mut self,
+        grad_output: &Tensor,
+        params: &ParamGrads,
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        let input = self
+            .cached_input
+            .take()
+            .expect("backward called without training-mode forward");
+        let batch = input.shape().dim(0);
+        let (n, k) = (self.out_features, self.in_features);
+        let gy = grad_output.data();
+        match params.narrow(0, n * k) {
+            ParamGrads::Skip => {}
+            ParamGrads::All => {
+                // dW = dY^T X  (shape [out, in])
+                let dw = self.scratch.dw.filled(n * k);
+                gemm::gemm_tn(gy, input.data(), dw, n, batch, k);
+                for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(&*dw) {
+                    *g += d;
+                }
+            }
+            ParamGrads::Only(entries) => {
+                let row = self.scratch.dw.filled(k);
+                let gw = self.weight.grad.data_mut();
+                for e in entries {
+                    let o = e / k;
+                    gemm::gemm_tn_range(gy, input.data(), row, n, batch, k, o..o + 1);
+                    gw[e] += row[e % k];
+                }
+            }
+        }
+        if let Some(bias) = &mut self.bias {
+            let selected = params.narrow(n * k, n);
+            let bg = bias.grad.data_mut();
+            for row in gy.chunks(n) {
+                for o in selected.entries(n) {
+                    bg[o] += row[o];
+                }
+            }
+        }
+        if !input_grad {
+            return None;
+        }
+        // dX = dY W  (shape [batch, in])
+        let wmat = self.weight.effective_into(&mut self.scratch.wmat);
+        let mut dx = vec![0.0f32; batch * k];
+        gemm::gemm(gy, wmat, &mut dx, batch, n, k);
+        Some(Tensor::from_vec(dx, &[batch, k]))
     }
 
     fn params(&self) -> Vec<&Parameter> {

@@ -1,7 +1,7 @@
 //! The [`Network`] trait: the interface the attack framework sees.
 
 use crate::error::Result;
-use crate::layer::{Layer, Mode, Sequential};
+use crate::layer::{Layer, Mode, ParamGrads, Sequential};
 use crate::param::Parameter;
 use crate::quant::QuantizedTensor;
 use crate::tensor::Tensor;
@@ -28,6 +28,15 @@ pub trait Network: Send {
     /// same tensor, bit for bit, and leaves every parameter gradient
     /// untouched (see [`Layer::backward_input`]).
     fn backward_input(&mut self, grad_logits: &Tensor) -> Tensor;
+
+    /// [`Network::backward`] for the parameter gradients at `mask` alone
+    /// (ascending flat indices in [`Network::params`] order, the mask
+    /// [`crate::optim::Sgd::step_masked`] steps): accumulates each, bit for
+    /// bit, as `backward` would, and leaves every other gradient entry
+    /// untouched. Returns no input gradient, so the pass stops at the
+    /// earliest layer holding a masked entry (see
+    /// [`Layer::backward_pass`]).
+    fn backward_masked(&mut self, grad_logits: &Tensor, mask: &[usize]);
 
     /// Immutable parameter views in deterministic (weight-file) order.
     fn params(&self) -> Vec<&Parameter>;
@@ -101,7 +110,9 @@ pub trait Network: Send {
 /// than per nested stack: `nn/seq_forward_s` and the `nn/forward_passes`
 /// counter for a forward, `nn/seq_backward_s` and `nn/backward_passes`
 /// for a full backward, `nn/seq_backward_input_s` and
-/// `nn/backward_input_passes` for an input-only backward.
+/// `nn/backward_input_passes` for an input-only backward,
+/// `nn/seq_backward_masked_s` and `nn/backward_masked_passes` for a
+/// masked one.
 #[derive(Debug)]
 pub struct SequentialNet {
     graph: Sequential,
@@ -119,12 +130,12 @@ impl SequentialNet {
 
     /// Runs one pass over the graph, recording its wall time under
     /// `timer` and one count under `counter` when telemetry is on.
-    fn recorded(
+    fn recorded<T>(
         &mut self,
         timer: &str,
         counter: &str,
-        pass: impl FnOnce(&mut Sequential) -> Tensor,
-    ) -> Tensor {
+        pass: impl FnOnce(&mut Sequential) -> T,
+    ) -> T {
         let t0 = rhb_telemetry::enabled().then(std::time::Instant::now);
         let out = pass(&mut self.graph);
         if let Some(t0) = t0 {
@@ -152,6 +163,16 @@ impl Network for SequentialNet {
         self.recorded("nn/seq_backward_input_s", "nn/backward_input_passes", |g| {
             g.backward_input(grad_logits)
         })
+    }
+
+    fn backward_masked(&mut self, grad_logits: &Tensor, mask: &[usize]) {
+        debug_assert!(mask.windows(2).all(|w| w[0] < w[1]), "mask not ascending");
+        let params = ParamGrads::Only(mask.to_vec());
+        self.recorded(
+            "nn/seq_backward_masked_s",
+            "nn/backward_masked_passes",
+            |g| g.backward_pass(grad_logits, &params, false),
+        );
     }
 
     fn params(&self) -> Vec<&Parameter> {

@@ -1,6 +1,6 @@
 //! Batch normalization over `[batch, C, H, W]` tensors.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, ParamGrads};
 use crate::param::Parameter;
 use crate::tensor::Tensor;
 
@@ -59,66 +59,6 @@ impl BatchNorm2d {
     /// Frozen running variance (evaluation statistics).
     pub fn running_var(&self) -> &[f32] {
         &self.running_var
-    }
-
-    /// The one backward body behind [`Layer::backward`] and
-    /// [`Layer::backward_input`]. The per-channel sums of `dY` and
-    /// `dY·normalized` are `dβ` and `dγ`; with `param_grads` off they are
-    /// computed only when batch statistics need them for `dX`.
-    fn backward_pass(&mut self, grad_output: &Tensor, param_grads: bool) -> Tensor {
-        let cache = self
-            .cache
-            .take()
-            .expect("backward called without training-mode forward");
-        let dims = cache.dims;
-        let (batch, chans, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let plane = h * w;
-        let count = (batch * plane) as f32;
-        let gamma = self.gamma.effective();
-
-        // Per-channel reductions of dY and dY*normalized.
-        let mut sum_dy = vec![0.0f32; chans];
-        let mut sum_dy_n = vec![0.0f32; chans];
-        if param_grads || !cache.frozen {
-            for b in 0..batch {
-                for c in 0..chans {
-                    let base = (b * chans + c) * plane;
-                    for i in 0..plane {
-                        let dy = grad_output.data()[base + i];
-                        sum_dy[c] += dy;
-                        sum_dy_n[c] += dy * cache.normalized.data()[base + i];
-                    }
-                }
-            }
-        }
-        if param_grads {
-            for c in 0..chans {
-                self.beta.grad.data_mut()[c] += sum_dy[c];
-                self.gamma.grad.data_mut()[c] += sum_dy_n[c];
-            }
-        }
-
-        // Input gradient. With frozen (running) statistics the mean and
-        // variance are constants, so dX = dY·γ·σ⁻¹; with batch statistics
-        // the full batch-norm correction terms apply.
-        let mut grad_input = vec![0.0f32; grad_output.numel()];
-        for b in 0..batch {
-            for c in 0..chans {
-                let base = (b * chans + c) * plane;
-                let g = gamma.data()[c];
-                let si = cache.std_inv[c];
-                for i in 0..plane {
-                    let dy = grad_output.data()[base + i];
-                    grad_input[base + i] = if cache.frozen {
-                        g * si * dy
-                    } else {
-                        let n = cache.normalized.data()[base + i];
-                        g * si * (dy - sum_dy[c] / count - n * sum_dy_n[c] / count)
-                    };
-                }
-            }
-        }
-        Tensor::from_vec(grad_input, &dims)
     }
 }
 
@@ -216,12 +156,75 @@ impl Layer for BatchNorm2d {
         Tensor::from_vec(out, &dims)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_pass(grad_output, true)
-    }
+    /// The one backward body. The per-channel sums of `dY` and
+    /// `dY·normalized` are `dβ` and `dγ`; a channel's sums are computed
+    /// when one of its entries is selected, or when batch statistics
+    /// need them for `dX`.
+    fn backward_pass(
+        &mut self,
+        grad_output: &Tensor,
+        params: &ParamGrads,
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        let cache = self
+            .cache
+            .take()
+            .expect("backward called without training-mode forward");
+        let dims = cache.dims;
+        let (batch, chans, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let plane = h * w;
+        let count = (batch * plane) as f32;
+        let (gamma_sel, beta_sel) = (params.narrow(0, chans), params.narrow(chans, chans));
+        let mut summed = vec![input_grad && !cache.frozen; chans];
+        for c in gamma_sel.entries(chans).chain(beta_sel.entries(chans)) {
+            summed[c] = true;
+        }
 
-    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_pass(grad_output, false)
+        // Per-channel reductions of dY and dY*normalized.
+        let mut sum_dy = vec![0.0f32; chans];
+        let mut sum_dy_n = vec![0.0f32; chans];
+        for b in 0..batch {
+            for c in (0..chans).filter(|&c| summed[c]) {
+                let base = (b * chans + c) * plane;
+                for i in 0..plane {
+                    let dy = grad_output.data()[base + i];
+                    sum_dy[c] += dy;
+                    sum_dy_n[c] += dy * cache.normalized.data()[base + i];
+                }
+            }
+        }
+        for c in beta_sel.entries(chans) {
+            self.beta.grad.data_mut()[c] += sum_dy[c];
+        }
+        for c in gamma_sel.entries(chans) {
+            self.gamma.grad.data_mut()[c] += sum_dy_n[c];
+        }
+        if !input_grad {
+            return None;
+        }
+
+        // Input gradient. With frozen (running) statistics the mean and
+        // variance are constants, so dX = dY·γ·σ⁻¹; with batch statistics
+        // the full batch-norm correction terms apply.
+        let gamma = self.gamma.effective();
+        let mut grad_input = vec![0.0f32; grad_output.numel()];
+        for b in 0..batch {
+            for c in 0..chans {
+                let base = (b * chans + c) * plane;
+                let g = gamma.data()[c];
+                let si = cache.std_inv[c];
+                for i in 0..plane {
+                    let dy = grad_output.data()[base + i];
+                    grad_input[base + i] = if cache.frozen {
+                        g * si * dy
+                    } else {
+                        let n = cache.normalized.data()[base + i];
+                        g * si * (dy - sum_dy[c] / count - n * sum_dy_n[c] / count)
+                    };
+                }
+            }
+        }
+        Some(Tensor::from_vec(grad_input, &dims))
     }
 
     fn params(&self) -> Vec<&Parameter> {

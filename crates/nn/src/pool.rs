@@ -1,6 +1,6 @@
 //! Pooling layers.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, ParamGrads};
 use crate::param::Parameter;
 use crate::tensor::Tensor;
 
@@ -36,11 +36,19 @@ impl Layer for GlobalAvgPool {
         Tensor::from_vec(out, &[batch, chans])
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_pass(
+        &mut self,
+        grad_output: &Tensor,
+        _: &ParamGrads,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let dims = self
             .cached_dims
             .take()
             .expect("backward called without training-mode forward");
+        if !input_grad {
+            return None;
+        }
         let (batch, chans, plane) = (dims[0], dims[1], dims[2] * dims[3]);
         let mut grad = vec![0.0f32; batch * chans * plane];
         for b in 0..batch {
@@ -52,7 +60,7 @@ impl Layer for GlobalAvgPool {
                 }
             }
         }
-        Tensor::from_vec(grad, &dims)
+        Some(Tensor::from_vec(grad, &dims))
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -153,16 +161,24 @@ impl Layer for MaxPool2d {
         Tensor::from_vec(out, &[batch, chans, out_side, out_side])
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_pass(
+        &mut self,
+        grad_output: &Tensor,
+        _: &ParamGrads,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let cache = self
             .cache
             .take()
             .expect("backward called without training-mode forward");
+        if !input_grad {
+            return None;
+        }
         let mut grad = vec![0.0f32; cache.in_dims.iter().product()];
         for (oi, &ii) in cache.argmax.iter().enumerate() {
             grad[ii] += grad_output.data()[oi];
         }
-        Tensor::from_vec(grad, &cache.in_dims)
+        Some(Tensor::from_vec(grad, &cache.in_dims))
     }
 
     fn params(&self) -> Vec<&Parameter> {

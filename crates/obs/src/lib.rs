@@ -168,21 +168,10 @@ impl ObsPlane {
         };
         let snap = rhb_telemetry::snapshot();
         let _ = rec.record_snapshot(&snap);
-        let escaped: String = detail
-            .chars()
-            .map(|c| match c {
-                '"' => "\\\"".to_string(),
-                '\\' => "\\\\".to_string(),
-                '\n' => "\\n".to_string(),
-                '\r' => "\\r".to_string(),
-                '\t' => "\\t".to_string(),
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32),
-                c => c.to_string(),
-            })
-            .collect();
-        let _ = rec.record_line(&format!(
-            "{{\"type\": \"crash\", \"detail\": \"{escaped}\"}}"
-        ));
+        let mut line = String::from("{\"type\": \"crash\", \"detail\": ");
+        rhb_telemetry::json::write_json_string(detail, &mut line);
+        line.push('}');
+        let _ = rec.record_line(&line);
     }
 
     /// Builds the plane from `RHB_OBS_ADDR` / `RHB_OBS_RECORD` /

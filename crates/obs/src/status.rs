@@ -4,27 +4,9 @@
 //! histogram. `rhb-report watch` renders its terminal view from this
 //! document alone, so it carries everything a human dashboard needs.
 
+use rhb_telemetry::json::write_json_string;
 use rhb_telemetry::MetricsSnapshot;
 use std::fmt::Write as _;
-
-/// Escapes a string for embedding in a JSON document.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn num(v: f64) -> String {
     if v.is_finite() {
@@ -60,7 +42,9 @@ pub fn render(snap: &MetricsSnapshot) -> String {
             .map(|d| num(d.as_secs_f64() * 1e3))
             .unwrap_or_else(|| "null".into())
     );
-    let _ = writeln!(out, "  \"phase\": \"{}\",", esc(&snap.current_span));
+    out.push_str("  \"phase\": ");
+    write_json_string(&snap.current_span, &mut out);
+    out.push_str(",\n");
     let _ = writeln!(out, "  \"classification\": \"{}\",", classification(snap));
 
     // Flip-ledger summary: the provenance counters the online phase
@@ -113,7 +97,9 @@ pub fn render(snap: &MetricsSnapshot) -> String {
     let moving: Vec<_> = snap.counters.iter().filter(|c| c.delta > 0).collect();
     for (i, c) in moving.iter().enumerate() {
         let comma = if i + 1 == moving.len() { "" } else { "," };
-        let _ = writeln!(out, "    \"{}\": {}{comma}", esc(&c.name), num(c.rate));
+        out.push_str("    ");
+        write_json_string(&c.name, &mut out);
+        let _ = writeln!(out, ": {}{comma}", num(c.rate));
     }
     out.push_str("  },\n");
 
@@ -127,10 +113,11 @@ pub fn render(snap: &MetricsSnapshot) -> String {
         } else {
             ","
         };
+        out.push_str("    {\"name\": ");
+        write_json_string(&h.name, &mut out);
         let _ = writeln!(
             out,
-            "    {{\"name\": \"{}\", \"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}, \"rate\": {}}}{comma}",
-            esc(&h.name),
+            ", \"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}, \"rate\": {}}}{comma}",
             s.count,
             num(s.mean),
             num(s.p50),
@@ -146,10 +133,11 @@ pub fn render(snap: &MetricsSnapshot) -> String {
     out.push_str("  \"spans\": [\n");
     for (i, s) in snap.spans.iter().enumerate() {
         let comma = if i + 1 == snap.spans.len() { "" } else { "," };
+        out.push_str("    {\"path\": ");
+        write_json_string(&s.path, &mut out);
         let _ = writeln!(
             out,
-            "    {{\"path\": \"{}\", \"count\": {}, \"total_s\": {}}}{comma}",
-            esc(&s.path),
+            ", \"count\": {}, \"total_s\": {}}}{comma}",
             s.count,
             num(s.total.as_secs_f64()),
         );
@@ -195,8 +183,11 @@ mod tests {
 
     #[test]
     fn strings_are_json_escaped() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("plain"), "plain");
+        let tel = Telemetry::new();
+        tel.install(Arc::new(NoopSink));
+        let _span = tel.start_span("a\"b\\c\nd", &[]);
+        let json = render(&tel.snapshot());
+        assert!(json.contains("\"phase\": \"a\\\"b\\\\c\\nd\",\n"), "{json}");
     }
 
     #[test]

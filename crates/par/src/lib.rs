@@ -326,7 +326,14 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set under the queue lock: a worker reads the flag under it and
+        // then waits, so the store lands either before that read or after
+        // the worker sleeps, where the notify below reaches it. Unlocked,
+        // it could land in between and the worker would sleep forever.
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.signal.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();

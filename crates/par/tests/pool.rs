@@ -142,6 +142,17 @@ fn panic_in_a_task_propagates_after_the_batch_drains() {
     assert_eq!(after.load(Ordering::Relaxed), 1);
 }
 
+/// Dropping a pool whose workers have only just started must still wake
+/// and join every one of them. A worker reads the shutdown flag under the
+/// queue lock and then waits; an unlocked store of the flag could land in
+/// between, and `drop` then hung within a few hundred fresh pools.
+#[test]
+fn dropping_a_fresh_pool_joins_every_worker() {
+    for _ in 0..2_000 {
+        drop(Pool::new(3));
+    }
+}
+
 #[test]
 fn global_pool_resizes_and_honors_minimum() {
     let _guard = GLOBAL_POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());

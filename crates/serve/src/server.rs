@@ -285,6 +285,10 @@ mod tests {
         fn backward_input(&mut self, grad_logits: &Tensor) -> Tensor {
             self.0.backward_input(grad_logits)
         }
+        fn backward_masked(&mut self, grad_logits: &Tensor, mask: &[usize]) {
+            let params = rhb_nn::layer::ParamGrads::Only(mask.to_vec());
+            self.0.backward_pass(grad_logits, &params, false);
+        }
         fn params(&self) -> Vec<&Parameter> {
             self.0.params()
         }
